@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Sequence
 
-from repro.core.value_matching import ValueMatcher
+from repro.core.value_matching import MatchConfig, ValueMatcher
 from repro.datasets import AutoJoinBenchmark
 from repro.embeddings import MistralEmbedder
 from repro.evaluation import format_markdown_table, macro_average, score_integration_set
@@ -35,7 +35,9 @@ def run_assignment_ablation(
     embedder = MistralEmbedder()
     results: Dict[str, Dict[str, float]] = {}
     for solver_name in solvers:
-        matcher = ValueMatcher(embedder, threshold=0.7, solver=get_assignment_solver(solver_name))
+        matcher = ValueMatcher(
+            embedder, MatchConfig(threshold=0.7), solver=get_assignment_solver(solver_name)
+        )
         start = time.perf_counter()
         per_set = [
             score_integration_set(matcher.match_columns(s.column_values()), s.gold_sets)

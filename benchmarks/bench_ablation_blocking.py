@@ -22,7 +22,7 @@ import string
 import time
 from typing import Dict, List, Tuple
 
-from repro.core.value_matching import ValueMatcher
+from repro.core.value_matching import MatchConfig, ValueMatcher
 from repro.datasets import AutoJoinBenchmark
 from repro.embeddings import MistralEmbedder
 from repro.evaluation import format_markdown_table, macro_average, score_integration_set
@@ -68,7 +68,7 @@ def run_blocking_ablation(
     results: Dict[str, Dict[str, float]] = {}
 
     # Exhaustive (the paper's matcher).
-    exhaustive = ValueMatcher(embedder, threshold=0.7)
+    exhaustive = ValueMatcher(embedder, MatchConfig(threshold=0.7))
     start = time.perf_counter()
     per_set = [
         score_integration_set(exhaustive.match_columns(s.column_values()), s.gold_sets)

@@ -20,7 +20,7 @@ import time
 from typing import Dict, Sequence, Tuple
 
 from repro.core import FuzzyFDConfig, FuzzyFullDisjunction, IntegrationEngine
-from repro.core.value_matching import ValueMatcher
+from repro.core.value_matching import MatchConfig, ValueMatcher
 from repro.datasets import AutoJoinBenchmark
 from repro.embeddings import MistralEmbedder
 from repro.evaluation import MatchingScores, format_markdown_table, macro_average, score_integration_set
@@ -41,7 +41,7 @@ def run_threshold_ablation(
     embedder = MistralEmbedder()
     results: Dict[float, MatchingScores] = {}
     for threshold in thresholds:
-        matcher = ValueMatcher(embedder, threshold=threshold)
+        matcher = ValueMatcher(embedder, MatchConfig(threshold=threshold))
         per_set = [
             score_integration_set(matcher.match_columns(s.column_values()), s.gold_sets)
             for s in integration_sets

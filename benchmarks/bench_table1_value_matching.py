@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-from repro.core.value_matching import ValueMatcher
+from repro.core.value_matching import MatchConfig, ValueMatcher
 from repro.datasets import AutoJoinBenchmark
 from repro.embeddings.registry import TABLE1_MODELS, get_embedder
 from repro.evaluation import MatchingScores, format_scores_table, macro_average, score_integration_set
@@ -41,7 +41,7 @@ def run_table1(
     ).generate()
     scores: Dict[str, MatchingScores] = {}
     for model in models:
-        matcher = ValueMatcher(get_embedder(model), threshold=threshold)
+        matcher = ValueMatcher(get_embedder(model), MatchConfig(threshold=threshold))
         per_set = [
             score_integration_set(matcher.match_columns(s.column_values()), s.gold_sets)
             for s in integration_sets

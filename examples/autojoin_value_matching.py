@@ -12,7 +12,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core.value_matching import ValueMatcher
+from repro.core.value_matching import MatchConfig, ValueMatcher
 from repro.datasets import AutoJoinBenchmark
 from repro.embeddings.registry import TABLE1_MODELS, get_embedder
 from repro.evaluation import format_scores_table, macro_average, score_integration_set
@@ -29,7 +29,7 @@ def main(n_sets: int = 10, values_per_column: int = 60) -> None:
 
     scores = {}
     for model in TABLE1_MODELS:
-        matcher = ValueMatcher(get_embedder(model), threshold=0.7)
+        matcher = ValueMatcher(get_embedder(model), MatchConfig(threshold=0.7))
         per_set = [
             score_integration_set(matcher.match_columns(s.column_values()), s.gold_sets)
             for s in integration_sets
@@ -43,7 +43,7 @@ def main(n_sets: int = 10, values_per_column: int = 60) -> None:
     semantic_sets = [s for s in integration_sets if s.profile in ("abbreviations", "synonyms")]
     if semantic_sets:
         example = semantic_sets[0]
-        matcher = ValueMatcher(get_embedder("mistral"), threshold=0.7)
+        matcher = ValueMatcher(get_embedder("mistral"), MatchConfig(threshold=0.7))
         result = matcher.match_columns(example.column_values())
         print(f"\nExample matches of Mistral on {example.name} ({example.topic}):")
         shown = 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro import Table
 from repro.core import FuzzyFullDisjunction, RegularFullDisjunction, ValueMatcher
-from repro.core.value_matching import ColumnValues
+from repro.core.value_matching import ColumnValues, MatchConfig
 from repro.embeddings import MistralEmbedder
 
 
@@ -74,7 +74,7 @@ def main() -> None:
     show_result("FD(T1, T2, T3) — regular Full Disjunction (9 tuples)", regular)
 
     # Figure 2: the Match Values component over the three City columns.
-    matcher = ValueMatcher(MistralEmbedder(), threshold=0.7)
+    matcher = ValueMatcher(MistralEmbedder(), MatchConfig(threshold=0.7))
     city_columns = [
         ColumnValues(("T1", "City"), tables[0].distinct_values("City")),
         ColumnValues(("T2", "City"), tables[1].distinct_values("City")),

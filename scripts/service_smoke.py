@@ -56,7 +56,7 @@ TRACE_REQUIRED_KEYS = (
     "total_seconds",
     "ann_pairs_added",
     "ann_probe_candidates",
-    "ann_bucket_skew",
+    "ann_skew_fallbacks",
     "cache_hits",
     "cache_misses",
     "raw_embed_calls",

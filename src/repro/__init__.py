@@ -30,6 +30,7 @@ from repro.core import (
     FuzzyFullDisjunction,
     FuzzyIntegrationResult,
     IntegrationEngine,
+    MatchConfig,
     RegularFullDisjunction,
     ValueMatcher,
     available_presets,
@@ -54,6 +55,7 @@ __all__ = [
     "FuzzyIntegrationResult",
     "IntegrationEngine",
     "IntegrationService",
+    "MatchConfig",
     "ValueMatcher",
     "Registry",
     "UnknownNameError",

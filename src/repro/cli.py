@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.core import PRESETS, FuzzyFDConfig, IntegrationEngine, available_presets
-from repro.core.value_matching import ColumnValues, ValueMatcher
+from repro.core.value_matching import ColumnValues, MatchConfig, ValueMatcher
 from repro.embeddings.registry import EMBEDDERS, get_embedder
 from repro.fd import FD_ALGORITHMS
 from repro.registry import Registry, UnknownNameError
@@ -100,41 +100,12 @@ def _collect_tables(paths: Sequence[str]) -> List[Table]:
 # ---------------------------------------------------------------------------------
 
 
-#: ``integrate`` flags that map onto config knobs.  A flag overrides the
-#: preset / JSON configuration only when the user passed it explicitly
-#: (tracked by :class:`_TrackedStore`).
-_INTEGRATE_CONFIG_FLAGS = (
-    "embedder",
-    "threshold",
-    "fd_algorithm",
-    "alignment",
-    "blocking",
-    "semantic_blocking",
-    "ann_top_k",
-    "ann_index",
-    "max_workers",
-    "parallel_backend",
-    "store_dir",
-    "store_mode",
-    "degraded_mode",
-    "retry_max_attempts",
-    "retry_backoff_ms",
-    "breaker_failure_threshold",
-    "breaker_reset_ms",
-)
+def _build_config(args: argparse.Namespace) -> FuzzyFDConfig:
+    """Resolve the effective config: preset / JSON base, then explicit flags.
 
-#: ``serve`` adds the service knobs on top of the shared engine flags.
-_SERVE_CONFIG_FLAGS = _INTEGRATE_CONFIG_FLAGS + (
-    "service_max_pending",
-    "service_max_concurrency",
-    "service_deadline_ms",
-)
-
-
-def _build_config(
-    args: argparse.Namespace, flags: Sequence[str] = _INTEGRATE_CONFIG_FLAGS
-) -> FuzzyFDConfig:
-    """Resolve the effective config: preset / JSON base, then explicit flags."""
+    Every :class:`_TrackedStore` flag's ``dest`` is a config field, so the
+    explicitly passed flags *are* the overrides.
+    """
     explicit = getattr(args, "_explicit", set())
     try:
         if getattr(args, "preset", None):
@@ -143,9 +114,7 @@ def _build_config(
             config = FuzzyFDConfig.from_json(args.config_json)
         else:
             config = FuzzyFDConfig()
-        overrides = {
-            knob: getattr(args, knob) for knob in flags if knob in explicit
-        }
+        overrides = {knob: getattr(args, knob) for knob in explicit}
         if (
             overrides.get("store_dir")
             and "store_mode" not in explicit
@@ -199,8 +168,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     if len(columns) < 2:
         raise SystemExit("error: need at least two non-empty columns to match")
     try:
-        matcher = ValueMatcher(
-            get_embedder(args.embedder),
+        config = MatchConfig(
             threshold=args.threshold,
             blocking=args.blocking,
             semantic_blocking=args.semantic_blocking,
@@ -209,7 +177,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         )
     except ValueError as error:
         raise SystemExit(f"error: {error}") from None
-    result = matcher.match_columns(columns)
+    result = ValueMatcher(get_embedder(args.embedder), config).match_columns(columns)
     multi = [match_set for match_set in result.sets if len(match_set) > 1]
     print(f"{len(result.sets)} value sets ({len(multi)} with fuzzy matches):")
     for match_set in result.sets:
@@ -260,7 +228,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import IntegrationService
     from repro.service.http import serve_forever
 
-    config = _build_config(args, flags=_SERVE_CONFIG_FLAGS)
+    config = _build_config(args)
     service = IntegrationService(config)
     store = service.engine.store
     if store is not None:

@@ -19,7 +19,9 @@ Public entry points, from highest to lowest level:
   :class:`~repro.core.fuzzy_fd.RegularFullDisjunction` — the one-shot
   operator classes (thin wrappers over a private engine).
 * :class:`~repro.core.value_matching.ValueMatcher` — the Match Values
-  component, usable standalone.
+  component, usable standalone, configured by a
+  :class:`~repro.core.value_matching.MatchConfig` (the matching knobs,
+  each one also a per-request override).
 * :class:`~repro.core.config.FuzzyFDConfig` — configuration: every knob
   validated eagerly against its plugin registry, serialisable
   (``to_dict``/``from_dict``/``from_json``), with named presets
@@ -37,7 +39,7 @@ from repro.core.representatives import (
     available_policies,
     select_representative,
 )
-from repro.core.value_matching import ColumnValues, ValueMatcher, ValueMatchingResult
+from repro.core.value_matching import ColumnValues, MatchConfig, ValueMatcher, ValueMatchingResult
 from repro.core.engine import (
     AlignmentStage,
     FuzzyIntegrationResult,
@@ -51,6 +53,7 @@ __all__ = [
     "FuzzyFDConfig",
     "PRESETS",
     "available_presets",
+    "MatchConfig",
     "ValueMatcher",
     "ValueMatchingResult",
     "ColumnValues",

@@ -45,11 +45,12 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import get_args, get_type_hints
 
 from repro.core.config import FuzzyFDConfig
-from repro.core.value_matching import ColumnValues, ValueMatcher, ValueMatchingResult
+from repro.core.value_matching import ColumnValues, MatchConfig, ValueMatcher, ValueMatchingResult
 from repro.embeddings.base import EmbeddingCache, ValueEmbedder
 from repro.embeddings.resilient import OVERRIDABLE_KNOBS, ResilientEmbedder
 from repro.fd import FD_ALGORITHMS
@@ -61,32 +62,19 @@ from repro.storage.cache import StoreBackedEmbeddingCache
 from repro.storage.store import ArtifactStore
 from repro.table.table import Table
 
-#: Knobs :meth:`IntegrationEngine.integrate` accepts as per-request overrides.
-REQUEST_OVERRIDES = (
-    "threshold",
-    "representative_policy",
-    "exact_first",
-    "blocking",
-    "blocking_cutoff",
-    "blocking_key_cap",
-    "semantic_blocking",
-    "ann_tables",
-    "ann_bits",
-    "ann_top_k",
-    "ann_index",
-    "max_workers",
-    "parallel_backend",
-    "store_mode",
-    "degraded_mode",
-    "retry_max_attempts",
-    "retry_backoff_ms",
-    "breaker_failure_threshold",
-    "breaker_reset_ms",
+#: Knobs :meth:`IntegrationEngine.integrate` accepts as per-request overrides:
+#: exactly the fields of :class:`MatchConfig`, in declaration order.
+REQUEST_OVERRIDES = tuple(knob.name for knob in fields(MatchConfig))
+
+#: A ``None`` override means "engine default", except for knobs whose declared
+#: type admits ``None`` (``blocking_key_cap=None`` disables the cap).
+_NONE_IS_A_VALUE = frozenset(
+    name for name, hint in get_type_hints(MatchConfig).items() if type(None) in get_args(hint)
 )
 
-#: Overrides for which ``None`` is a meaningful value (not "use the engine
-#: default"): ``blocking_key_cap=None`` disables the frequent-key cap.
-NULLABLE_OVERRIDES = frozenset({"blocking_key_cap"})
+#: Overrides that still steer the Full Disjunction stage (its executor), so
+#: they stay legal when matching is skipped or already ran.
+_FD_OVERRIDES = ("max_workers", "parallel_backend")
 
 
 def _count_rewrites(value_matching: Dict[str, ValueMatchingResult]) -> int:
@@ -185,11 +173,7 @@ class IntegrationEngine:
             # knobs win.  The wrapper mirrors name/dimension/cache, so store
             # fingerprints and the cache attach below are unchanged.
             resolved = ResilientEmbedder(
-                resolved,
-                retry_max_attempts=config.retry_max_attempts,
-                retry_backoff_ms=config.retry_backoff_ms,
-                breaker_failure_threshold=config.breaker_failure_threshold,
-                breaker_reset_ms=config.breaker_reset_ms,
+                resolved, **{knob: getattr(config, knob) for knob in OVERRIDABLE_KNOBS}
             )
         self.embedder: ValueEmbedder = resolved
         self.solver: AssignmentSolver = config.resolve_solver()
@@ -463,7 +447,7 @@ class IntegrationEngine:
             # everything else configures work that already happened.
             executor_overrides = {
                 key: overrides.pop(key)
-                for key in ("max_workers", "parallel_backend")
+                for key in _FD_OVERRIDES
                 if key in overrides
             }
             rejected = sorted(overrides)
@@ -522,7 +506,7 @@ class IntegrationEngine:
                 # Without the matching stage, matching-only overrides would
                 # be silently ignored — reject them loudly.  The executor
                 # knobs stay legal: they still steer the FD stage.
-                ignored = sorted(set(overrides) - {"max_workers", "parallel_backend"})
+                ignored = sorted(set(overrides) - set(_FD_OVERRIDES))
                 if ignored:
                     raise TypeError(
                         f"override(s) {ignored} have no effect with fuzzy=False — "
@@ -632,7 +616,7 @@ class IntegrationEngine:
         provided = {
             key: value
             for key, value in overrides.items()
-            if value is not None or key in NULLABLE_OVERRIDES
+            if value is not None or key in _NONE_IS_A_VALUE
         }
         if not provided:
             return self.config
@@ -658,43 +642,14 @@ class IntegrationEngine:
         matchers: Dict[Tuple, ValueMatcher] = getattr(self._thread_state, "matchers", None)
         if matchers is None:
             matchers = self._thread_state.matchers = {}
-        key = (
-            effective.threshold,
-            effective.representative_policy,
-            effective.exact_first,
-            effective.blocking,
-            effective.blocking_cutoff,
-            effective.blocking_key_cap,
-            effective.semantic_blocking,
-            effective.ann_tables,
-            effective.ann_bits,
-            effective.ann_top_k,
-            effective.ann_index,
-            effective.max_workers,
-            effective.parallel_backend,
-            effective.store_mode,
-            effective.degraded_mode,
-        )
+        key = tuple(getattr(effective, knob) for knob in REQUEST_OVERRIDES)
         matcher = matchers.get(key)
         if matcher is None:
             matcher = ValueMatcher(
-                embedder=self.embedder,
-                threshold=effective.threshold,
+                self.embedder,
+                effective,
                 solver=self.solver,
-                representative_policy=effective.representative_policy,
-                exact_first=effective.exact_first,
-                blocking=effective.blocking,
-                blocking_cutoff=effective.blocking_cutoff,
-                blocking_key_cap=effective.blocking_key_cap,
-                semantic_blocking=effective.semantic_blocking,
-                ann_tables=effective.ann_tables,
-                ann_bits=effective.ann_bits,
-                ann_top_k=effective.ann_top_k,
-                ann_index=effective.ann_index,
-                max_workers=effective.max_workers,
-                parallel_backend=effective.parallel_backend,
                 store=self._store_for(effective.store_mode),
-                degraded_mode=effective.degraded_mode,
             )
             matchers[key] = matcher
         return matcher
@@ -729,9 +684,8 @@ class IntegrationEngine:
         run through here concurrently).
         """
         if fd_algorithm is None:
-            executor_overridden = (
-                effective.max_workers != self.config.max_workers
-                or effective.parallel_backend != self.config.parallel_backend
+            executor_overridden = any(
+                getattr(effective, knob) != getattr(self.config, knob) for knob in _FD_OVERRIDES
             )
             if not (executor_overridden and isinstance(self.config.fd_algorithm, str)):
                 return self.fd_algorithm

@@ -25,10 +25,11 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.representatives import REPRESENTATIVE_POLICIES, select_representative
 from repro.embeddings.base import ValueEmbedder
-from repro.embeddings.resilient import DEGRADED_MODES, EmbedderUnavailable
+from repro.embeddings.resilient import DEGRADED_MODES, EmbedderUnavailable, validate_resilience_knobs
 from repro.matching.assignment import AssignmentSolver
 from repro.matching.bipartite import BipartiteValueMatcher, ValueMatch
 from repro.matching.ann import (
+    ANN_INDEX_KINDS,
     DEFAULT_ANN_BITS,
     DEFAULT_ANN_TABLES,
     DEFAULT_ANN_TOP_K,
@@ -41,19 +42,192 @@ from repro.matching.blocking import (
 )
 from repro.matching.clustering import ValueMatchSet
 from repro.matching.distance import EmbeddingDistance
-from repro.storage.store import ArtifactStore
-from repro.utils.executor import ExecutorConfig
+from repro.storage.store import STORE_MODES, ArtifactStore
+from repro.utils.executor import EXECUTOR_BACKENDS, ExecutorConfig
 
 #: Cell count (``|left| × |right|``) at which ``blocking="auto"`` switches a
 #: column pair from the exhaustive matcher to the blocked engine.
 DEFAULT_BLOCKING_CUTOFF = 250_000
 
-#: Default frequent-key cap of the blocked matcher's candidate generator: a
-#: blocking key whose *smaller* posting list exceeds this is skipped (see
-#: :class:`repro.matching.blocking.ValueBlocker`).  ``None`` disables it.
-DEFAULT_BLOCKING_KEY_CAP: Optional[int] = DEFAULT_FREQUENT_KEY_CAP
-
 ValueKey = Tuple[Hashable, object]
+
+
+@dataclass(frozen=True)
+class MatchConfig:
+    """The knobs of the Match Values step, declared and validated once.
+
+    This is the slice of :class:`~repro.core.config.FuzzyFDConfig` (which
+    subclasses it) that configures one matching request: every field is a
+    per-request override of :meth:`IntegrationEngine.integrate
+    <repro.core.engine.IntegrationEngine.integrate>` and of the service's
+    ``/integrate`` ``overrides``, and the engine memoises one
+    :class:`ValueMatcher` per distinct slice.  Adding a knob here makes it
+    all of those at once.
+
+    Attributes
+    ----------
+    threshold:
+        Matching threshold θ of Definition 2.  The paper reports θ = 0.7.
+    representative_policy:
+        How the representative value of a match set is chosen;
+        ``"frequency"`` (most frequent value, ties broken by earliest table)
+        is the paper's rule.
+    exact_first:
+        Match identical values before running the optimal assignment on the
+        remainder (cheaper and never harmful under clean-clean semantics).
+    blocking:
+        Whether column pairs route through the component-wise blocked
+        matcher: ``"off"`` (the paper's exhaustive matrix, the default),
+        ``"on"`` (always block), or ``"auto"`` (block only pairs whose cross
+        product reaches ``blocking_cutoff`` cells — the data-lake setting:
+        paper-size columns stay exact, wide columns go sparse).
+    blocking_cutoff:
+        Cell count ``|left| × |right|`` at which ``"auto"`` engages blocking.
+    blocking_key_cap:
+        Frequent-key cap of the blocked matcher's candidate generator: a
+        blocking key whose *smaller* posting list exceeds the cap is skipped
+        (stop-word-like keys would otherwise contribute quadratic candidate
+        blocks).  ``None`` disables the cap — the one knob whose ``None`` is
+        a value rather than "use the engine default" (its type is
+        ``Optional``).
+    semantic_blocking:
+        The ANN candidate channel of the blocked matcher
+        (:class:`~repro.matching.ann.SemanticBlocker`): ``"off"`` (surface
+        keys only, the default), ``"on"`` (always union embedding-neighbour
+        pairs into the candidate graph), or ``"auto"`` (union them only for
+        column pairs where the surface keys left some value with no candidate
+        at all).  ``"on"`` requires ``blocking`` ``"on"``/``"auto"`` — the
+        channel rides the blocked matcher; the exhaustive matcher already
+        scores every pair.
+    ann_tables:
+        Number of LSH hash tables of the semantic channel.  More tables,
+        higher recall, linearly more probing.
+    ann_bits:
+        Random-hyperplane bits per LSH table.  Fewer bits, bigger buckets:
+        higher recall, more similarity evaluations.
+    ann_top_k:
+        Candidate pairs the semantic channel emits per value (its nearest
+        counterparts by cosine similarity; both sides probe).  Bounds the
+        extra pairs the channel can add to roughly
+        ``top_k × (|left| + |right|)``.
+    ann_index:
+        Retrieval index of the semantic channel above the brute-force
+        cutoff: ``"lsh"`` (random-hyperplane tables, the default — falls
+        back to IVF per column pair when hyperplane buckets skew past the
+        blocker's threshold) or ``"ivf"`` (force the seeded k-means
+        inverted-file index everywhere).  Both are deterministic under the
+        fixed seed and both persist through the artifact store.
+    max_workers:
+        Worker bound of the parallel execution layer.  ``1`` (the paper's
+        single-threaded setting, the default) disables every pool; larger
+        values let the blocked matcher solve components concurrently, the
+        partitioned FD close tuple components concurrently, and
+        ``IntegrationEngine.integrate_many`` serve requests concurrently.
+    parallel_backend:
+        Executor backend used when ``max_workers > 1``: ``"thread"`` (numpy/
+        scipy release the GIL — the usual choice), ``"process"`` (true CPU
+        parallelism for pure-Python closures at a pickling cost), or
+        ``"serial"`` (force the plain loop regardless of ``max_workers``).
+        Results are identical across backends by construction.
+    store_mode:
+        How the artifact store is used when the engine has one
+        (``store_dir``): ``"readwrite"`` (attach and publish), ``"read"``
+        (attach existing artifacts, never write — e.g. many engines sharing
+        one store only one of them owns), or ``"off"`` (ignore the
+        directory).  The store never changes results, only whether artifacts
+        are recomputed or loaded.
+    degraded_mode:
+        What a request does while the embedder's circuit breaker is open:
+        ``"off"`` (the default) propagates ``EmbedderUnavailable`` to the
+        caller, ``"surface"`` degrades value matching to exact +
+        surface-blocking candidates without embeddings (results marked
+        ``degraded`` in statistics and traces), ``"fail"`` makes the service
+        answer a typed 503 with a ``Retry-After`` derived from the breaker's
+        remaining open window.
+    retry_max_attempts:
+        Fault-tolerance: total attempts the engine's
+        :class:`~repro.embeddings.resilient.ResilientEmbedder` wrapper makes
+        per ``embed``/``embed_many`` call before counting the call as failed
+        (``1`` disables retries).
+    retry_backoff_ms:
+        Base delay of the capped exponential backoff between retry attempts
+        (doubled per attempt, capped at 8×, scaled by deterministic jitter).
+    breaker_failure_threshold:
+        Consecutive exhausted embedder calls after which the circuit breaker
+        opens and calls short-circuit with a typed
+        :class:`~repro.embeddings.resilient.EmbedderUnavailable`.
+    breaker_reset_ms:
+        How long the breaker stays open before going half-open and admitting
+        one probe call (success closes it, failure re-opens a full window).
+    """
+
+    threshold: float = 0.7
+    representative_policy: str = "frequency"
+    exact_first: bool = True
+    blocking: str = "off"
+    blocking_cutoff: int = DEFAULT_BLOCKING_CUTOFF
+    blocking_key_cap: Optional[int] = DEFAULT_FREQUENT_KEY_CAP
+    semantic_blocking: str = "off"
+    ann_tables: int = DEFAULT_ANN_TABLES
+    ann_bits: int = DEFAULT_ANN_BITS
+    ann_top_k: int = DEFAULT_ANN_TOP_K
+    ann_index: str = "lsh"
+    max_workers: int = 1
+    parallel_backend: str = "thread"
+    store_mode: str = "off"
+    degraded_mode: str = "off"
+    retry_max_attempts: int = 3
+    retry_backoff_ms: float = 50.0
+    breaker_failure_threshold: int = 5
+    breaker_reset_ms: float = 30_000.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.threshold <= 1.0:
+            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
+        # Fail fast on a typo'd policy name here rather than deep inside
+        # match_columns() on the first accepted match.
+        REPRESENTATIVE_POLICIES.validate(self.representative_policy)
+        self._require_choice("blocking", ("off", "on", "auto"))
+        if self.blocking_cutoff <= 0:
+            raise ValueError(f"blocking_cutoff must be positive, got {self.blocking_cutoff}")
+        if self.blocking_key_cap is not None and self.blocking_key_cap < 1:
+            raise ValueError(
+                f"blocking_key_cap must be >= 1 or None, got {self.blocking_key_cap}"
+            )
+        self._require_choice("semantic_blocking", ("off", "on", "auto"))
+        if self.semantic_blocking == "on" and self.blocking == "off":
+            raise ValueError(
+                "semantic_blocking='on' requires blocking 'on' or 'auto': the ANN "
+                "channel rides the blocked matcher (the exhaustive matcher already "
+                "scores every pair)"
+            )
+        if self.ann_tables < 1:
+            raise ValueError(f"ann_tables must be >= 1, got {self.ann_tables}")
+        if not 1 <= self.ann_bits <= 30:
+            raise ValueError(f"ann_bits must be in [1, 30], got {self.ann_bits}")
+        if self.ann_top_k < 1:
+            raise ValueError(f"ann_top_k must be >= 1, got {self.ann_top_k}")
+        self._require_choice("ann_index", ANN_INDEX_KINDS)
+        if self.max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
+        self._require_choice("parallel_backend", EXECUTOR_BACKENDS)
+        self._require_choice("store_mode", STORE_MODES)
+        self._require_choice("degraded_mode", DEGRADED_MODES)
+        validate_resilience_knobs(
+            retry_max_attempts=self.retry_max_attempts,
+            retry_backoff_ms=self.retry_backoff_ms,
+            breaker_failure_threshold=self.breaker_failure_threshold,
+            breaker_reset_ms=self.breaker_reset_ms,
+        )
+
+    def _require_choice(self, knob: str, choices: Sequence[str]) -> None:
+        value = getattr(self, knob)
+        if value not in choices:
+            raise ValueError(f"{knob} must be one of {list(choices)}, got {value!r}")
+
+    def executor_config(self) -> ExecutorConfig:
+        """The parallel-execution settings as an :class:`ExecutorConfig`."""
+        return ExecutorConfig(backend=self.parallel_backend, max_workers=self.max_workers)
 
 
 @dataclass
@@ -145,106 +319,66 @@ class _Group:
 
 
 class ValueMatcher:
-    """The Match Values component.
+    """The Match Values component, configured by one :class:`MatchConfig`.
 
-    Parameters mirror :class:`~repro.core.config.FuzzyFDConfig`; the matcher is
-    deliberately usable standalone (it is what the Table 1 benchmark drives).
+    Usable standalone (the Table 1 benchmark drives it directly).  ``store``
+    makes the ANN hash state durable; ``config.store_mode`` and the retry
+    knobs are applied by the engine that owns the store and the embedder.
     """
 
     def __init__(
         self,
         embedder: ValueEmbedder,
-        threshold: float = 0.7,
+        config: MatchConfig = MatchConfig(),
+        *,
         solver: Optional[AssignmentSolver] = None,
-        representative_policy: str = "frequency",
-        exact_first: bool = True,
-        blocking: str = "off",
-        blocking_cutoff: int = DEFAULT_BLOCKING_CUTOFF,
-        blocking_key_cap: Optional[int] = DEFAULT_BLOCKING_KEY_CAP,
-        semantic_blocking: str = "off",
-        ann_tables: int = DEFAULT_ANN_TABLES,
-        ann_bits: int = DEFAULT_ANN_BITS,
-        ann_top_k: int = DEFAULT_ANN_TOP_K,
-        ann_index: str = "lsh",
-        max_workers: int = 1,
-        parallel_backend: str = "thread",
         store: Optional[ArtifactStore] = None,
-        degraded_mode: str = "off",
     ) -> None:
-        if blocking not in ("off", "on", "auto"):
-            raise ValueError(f"blocking must be 'off', 'on' or 'auto', got {blocking!r}")
-        if degraded_mode not in DEGRADED_MODES:
-            raise ValueError(
-                f"degraded_mode must be one of {list(DEGRADED_MODES)}, got {degraded_mode!r}"
-            )
-        if blocking_cutoff <= 0:
-            raise ValueError(f"blocking_cutoff must be positive, got {blocking_cutoff}")
-        if semantic_blocking not in ("off", "on", "auto"):
-            raise ValueError(
-                f"semantic_blocking must be 'off', 'on' or 'auto', got {semantic_blocking!r}"
-            )
-        if semantic_blocking == "on" and blocking == "off":
-            raise ValueError(
-                "semantic_blocking='on' requires blocking 'on' or 'auto': the ANN "
-                "channel rides the blocked matcher (the exhaustive matcher already "
-                "scores every pair)"
-            )
-        # Fail fast on a typo'd policy name here rather than deep inside
-        # match_columns() on the first accepted match.
-        REPRESENTATIVE_POLICIES.validate(representative_policy)
         self.embedder = embedder
-        self.threshold = threshold
-        self.representative_policy = representative_policy
-        self.exact_first = exact_first
-        self.blocking = blocking
-        self.blocking_cutoff = blocking_cutoff
-        self.blocking_key_cap = blocking_key_cap
-        self.semantic_blocking = semantic_blocking
-        self.degraded_mode = degraded_mode
+        self.config = config
         # The embedding-free fallback matcher of degraded_mode="surface",
         # built on first use (reuses the blocked matcher when blocking is on).
         self._degraded_matcher: Optional[BlockedValueMatcher] = None
-        # Validated eagerly (backend name, worker count) by ExecutorConfig;
-        # the blocked engine is the only consumer — the exhaustive matcher
-        # solves one global assignment and has nothing to distribute.
-        self.executor = ExecutorConfig(backend=parallel_backend, max_workers=max_workers)
+        # The blocked engine is the only consumer of the executor — the
+        # exhaustive matcher solves one global assignment and has nothing to
+        # distribute.
+        self.executor = config.executor_config()
         self._matcher = BipartiteValueMatcher(
-            distance=EmbeddingDistance(embedder), threshold=threshold, solver=solver
+            distance=EmbeddingDistance(embedder), threshold=config.threshold, solver=solver
         )
-        # The semantic blocker validates the ann_* knobs eagerly even when
-        # blocking is off (so a bad ann_top_k never hides behind blocking).
-        # Its similarity floor is 1 - θ: pairs below it are unmatchable under
-        # the threshold, so emitting them would only weld components.
-        # The store (when given) makes the ANN hash state durable — loaded
-        # codes replace rebuilt ones, candidates stay identical either way.
+        # The semantic blocker's similarity floor is 1 - θ: pairs below it are
+        # unmatchable under the threshold, so emitting them would only weld
+        # components.
         semantic_blocker = (
             SemanticBlocker(
                 embedder,
-                top_k=ann_top_k,
-                n_tables=ann_tables,
-                n_bits=ann_bits,
-                min_similarity=max(0.0, 1.0 - threshold),
-                ann_index=ann_index,
+                top_k=config.ann_top_k,
+                n_tables=config.ann_tables,
+                n_bits=config.ann_bits,
+                min_similarity=max(0.0, 1.0 - config.threshold),
+                ann_index=config.ann_index,
                 store=store,
             )
-            if semantic_blocking != "off"
+            if config.semantic_blocking != "off"
             else None
         )
         self._blocked_matcher = (
             BlockedValueMatcher(
                 embedder,
-                threshold=threshold,
+                threshold=config.threshold,
                 solver=solver,
                 # The blocker shares the executor so surface-key generation
                 # can fan out over the same (process) pool as the solver.
                 blocker=ValueBlocker(
-                    frequent_key_cap=blocking_key_cap, executor=self.executor
+                    frequent_key_cap=config.blocking_key_cap, executor=self.executor
                 ),
                 executor=self.executor,
                 semantic_blocker=semantic_blocker,
-                semantic_mode=semantic_blocking if semantic_blocking != "off" else "on",
+                semantic_mode=(
+                    config.semantic_blocking if config.semantic_blocking != "off" else "on"
+                ),
             )
-            if blocking != "off"
+            if config.blocking != "off"
             else None
         )
 
@@ -255,11 +389,11 @@ class ValueMatcher:
         """Bipartite matches between two columns (used directly by benchmarks)."""
         matcher = self._matcher_for(len(left.values), len(right.values))
         try:
-            if self.exact_first:
+            if self.config.exact_first:
                 return matcher.match_exact_first(left.values, right.values)
             return matcher.match(left.values, right.values)
         except EmbedderUnavailable:
-            if self.degraded_mode != "surface":
+            if self.config.degraded_mode != "surface":
                 raise
             return self._degraded_fallback().match_degraded(left.values, right.values)
 
@@ -295,7 +429,7 @@ class ValueMatcher:
             "columns": float(len(columns)),
             "values": float(sum(len(column) for column in columns)),
         }
-        if self.blocking != "off":
+        if self.config.blocking != "off":
             statistics.update(
                 blocked_assignments=0.0,
                 blocking_components=0.0,
@@ -303,7 +437,7 @@ class ValueMatcher:
                 blocking_pairs_scored=0.0,
                 blocking_pairs_avoided=0.0,
             )
-            if self.semantic_blocking != "off":
+            if self.config.semantic_blocking != "off":
                 statistics.update(
                     blocking_ann_pairs_added=0.0,
                     blocking_ann_pairs_duplicate=0.0,
@@ -318,6 +452,7 @@ class ValueMatcher:
 
         assignments = 0
         accepted = 0
+        policy = self.config.representative_policy
         for column in columns[1:]:
             combined_values = [group.representative for group in groups]
             matcher = self._matcher_for(len(combined_values), len(column.values))
@@ -325,7 +460,7 @@ class ValueMatcher:
             try:
                 matches = (
                     matcher.match_exact_first(combined_values, column.values)
-                    if self.exact_first
+                    if self.config.exact_first
                     else matcher.match(combined_values, column.values)
                 )
             except EmbedderUnavailable:
@@ -333,7 +468,7 @@ class ValueMatcher:
                 # without embeddings (exact + surface-blocking equality) and
                 # the result is marked degraded; any other mode propagates
                 # the typed error to the engine/service boundary.
-                if self.degraded_mode != "surface":
+                if self.config.degraded_mode != "surface":
                     raise
                 matches = self._degraded_fallback().match_degraded(
                     combined_values, column.values
@@ -362,7 +497,7 @@ class ValueMatcher:
                 statistics["blocking_skipped_keys"] = statistics.get(
                     "blocking_skipped_keys", 0.0
                 ) + float(blocking_stats.skipped_keys)
-                if self.semantic_blocking != "off":
+                if self.config.semantic_blocking != "off":
                     statistics["blocking_ann_pairs_added"] += float(
                         blocking_stats.ann_pairs_added
                     )
@@ -394,7 +529,7 @@ class ValueMatcher:
                 group = bucket.pop(0)
                 group.members.append((column.column_id, match.right))
                 group.representative = select_representative(
-                    group.members, frequencies, column_order, policy=self.representative_policy
+                    group.members, frequencies, column_order, policy=policy
                 )
                 matched_right.add(match.right)
 
@@ -456,8 +591,8 @@ class ValueMatcher:
         if self._degraded_matcher is None:
             self._degraded_matcher = BlockedValueMatcher(
                 self.embedder,
-                threshold=self.threshold,
-                blocker=ValueBlocker(frequent_key_cap=self.blocking_key_cap),
+                threshold=self.config.threshold,
+                blocker=ValueBlocker(frequent_key_cap=self.config.blocking_key_cap),
             )
         return self._degraded_matcher
 
@@ -465,9 +600,9 @@ class ValueMatcher:
         """Route one column pair to the exhaustive or the blocked matcher."""
         if self._blocked_matcher is None:
             return self._matcher
-        if self.blocking == "on":
+        if self.config.blocking == "on":
             return self._blocked_matcher
-        if left_count * right_count >= self.blocking_cutoff:
+        if left_count * right_count >= self.config.blocking_cutoff:
             return self._blocked_matcher
         return self._matcher
 

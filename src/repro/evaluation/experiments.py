@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.core import FuzzyFDConfig, integrate
-from repro.core.value_matching import ValueMatcher
+from repro.core.value_matching import MatchConfig, ValueMatcher
 from repro.datasets import AliteEmBenchmark, AutoJoinBenchmark, ImdbBenchmark
 from repro.em import EntityMatchingPipeline
 from repro.em.metrics import EntityMatchingScores
@@ -40,7 +40,7 @@ def run_table1_experiment(
     ).generate()
     scores: Dict[str, MatchingScores] = {}
     for model in models:
-        matcher = ValueMatcher(get_embedder(model), threshold=threshold)
+        matcher = ValueMatcher(get_embedder(model), MatchConfig(threshold=threshold))
         per_set = [
             score_integration_set(matcher.match_columns(s.column_values()), s.gold_sets)
             for s in integration_sets

@@ -156,7 +156,7 @@ def format_request_trace(trace) -> str:
     counter_spec = [
         ("ANN pairs added", "ann_pairs_added"),
         ("ANN probe candidates", "ann_probe_candidates"),
-        ("ANN bucket-skew fallbacks", "ann_bucket_skew"),
+        ("ANN bucket-skew fallbacks", "ann_skew_fallbacks"),
         ("Cache hits (hot tier)", "cache_hits"),
         ("Cache hits (store tier)", "cache_store_hits"),
         ("Cache misses", "cache_misses"),

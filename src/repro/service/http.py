@@ -6,7 +6,7 @@ needs:
 
 ``POST /integrate``
     Body: ``{"tables": [{"name", "columns", "rows"}, ...],
-    "deadline_ms": <optional>, "overrides": {<optional REQUEST_OVERRIDES>}}``.
+    "deadline_ms": <optional>, "overrides": {<optional MatchConfig fields>}}``.
     Replies with the integrated table, the request trace and a ``status``;
     the HTTP code mirrors the service outcome (200 ok, 503 overloaded,
     504 deadline exceeded, 503 + ``Retry-After`` when the embedder breaker
@@ -58,6 +58,11 @@ STATUS_CODES = {
 }
 
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Seconds a client gets to send its whole request (request line, headers and
+#: body); a client still sending after that is answered 408 and disconnected,
+#: so a stalled connection cannot hold a server task forever.
+READ_TIMEOUT_SECONDS = 30.0
 
 
 class BadRequest(ValueError):
@@ -125,11 +130,18 @@ def response_to_json(response: ServiceResponse) -> Dict[str, Any]:
     return body
 
 
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # the line outgrew the stream's buffer limit
+        raise BadRequest("request line or header line too long") from exc
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, bytes]]:
     """Read one HTTP/1.1 request; returns (method, path, body) or None on EOF."""
-    request_line = await reader.readline()
+    request_line = await _readline(reader)
     if not request_line:
         return None
     parts = request_line.decode("latin-1").split()
@@ -138,7 +150,7 @@ async def _read_request(
     method, path = parts[0].upper(), parts[1]
     content_length = 0
     while True:
-        line = await reader.readline()
+        line = await _readline(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
@@ -147,6 +159,8 @@ async def _read_request(
                 content_length = int(value.strip())
             except ValueError as exc:
                 raise BadRequest("invalid Content-Length") from exc
+    if content_length < 0:
+        raise BadRequest("invalid Content-Length")
     if content_length > MAX_BODY_BYTES:
         raise BadRequest(f"body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(content_length) if content_length else b""
@@ -197,6 +211,12 @@ def _retry_after_header(retry_after_ms: float) -> Dict[str, str]:
     return {"Retry-After": str(max(1, math.ceil(retry_after_ms / 1000.0)))}
 
 
+def _error_reply(
+    code: int, reason: str, message: str
+) -> Tuple[int, str, Dict[str, Any], Dict[str, str]]:
+    return code, reason, {"status": "error", "error": message}, {}
+
+
 async def _dispatch(
     service: IntegrationService, method: str, path: str, body: bytes
 ) -> Tuple[int, str, Dict[str, Any], Dict[str, str]]:
@@ -234,7 +254,7 @@ async def _dispatch(
         if isinstance(response, EmbedderUnavailableResponse):
             headers = _retry_after_header(response.retry_after_ms)
         return code, reason, response_to_json(response), headers
-    return 404, "Not Found", {"status": "error", "error": f"no route {method} {path}"}, {}
+    return _error_reply(404, "Not Found", f"no route {method} {path}")
 
 
 async def handle_connection(
@@ -245,16 +265,21 @@ async def handle_connection(
     """Serve one request on one connection, then close it."""
     try:
         try:
-            request = await _read_request(reader)
+            request = await asyncio.wait_for(_read_request(reader), READ_TIMEOUT_SECONDS)
+        except asyncio.TimeoutError:
+            reply = _error_reply(
+                408, "Request Timeout", f"request not received within {READ_TIMEOUT_SECONDS} s"
+            )
+        except (BadRequest, asyncio.IncompleteReadError) as exc:
+            reply = _error_reply(400, "Bad Request", str(exc))
+        else:
             if request is None:
                 return
-            code, reason, payload, headers = await _dispatch(service, *request)
-        except (BadRequest, asyncio.IncompleteReadError) as exc:
-            code, reason, payload, headers = 400, "Bad Request", {
-                "status": "error",
-                "error": str(exc),
-            }, {}
-        writer.write(_encode_response(code, reason, payload, headers))
+            try:
+                reply = await _dispatch(service, *request)
+            except BadRequest as exc:
+                reply = _error_reply(400, "Bad Request", str(exc))
+        writer.write(_encode_response(*reply))
         await writer.drain()
     except (ConnectionResetError, BrokenPipeError):  # pragma: no cover - client gone
         pass

@@ -136,8 +136,8 @@ class IntegrationService:
         :class:`ServiceOverloaded` when admission rejects (queue full), a
         :class:`DeadlineExceeded` when the budget expires at a stage
         boundary, or a :class:`ServiceFailure` when the pipeline raises.
-        ``overrides`` are the engine's per-request knobs
-        (:data:`~repro.core.engine.REQUEST_OVERRIDES`); ``deadline_ms``
+        ``overrides`` are the engine's per-request knobs: the fields of
+        :class:`~repro.core.value_matching.MatchConfig`.  ``deadline_ms``
         replaces the service default for this request only.
         """
         submitted_at = time.perf_counter()

@@ -30,7 +30,7 @@ from repro.core.engine import FuzzyIntegrationResult
 TRACE_COUNTER_SOURCES: Dict[str, str] = {
     "ann_pairs_added": "blocking_ann_pairs_added",
     "ann_probe_candidates": "blocking_ann_probe_candidates",
-    "ann_bucket_skew": "blocking_ann_skew_fallbacks",
+    "ann_skew_fallbacks": "blocking_ann_skew_fallbacks",
     "cache_hits": "cache_hits",
     "cache_misses": "cache_misses",
     "cache_fills": "cache_fills",
@@ -63,7 +63,7 @@ class RequestTrace:
     deadline_ms: Optional[float] = None
     ann_pairs_added: float = 0.0
     ann_probe_candidates: float = 0.0
-    ann_bucket_skew: float = 0.0
+    ann_skew_fallbacks: float = 0.0
     cache_hits: float = 0.0
     cache_misses: float = 0.0
     cache_fills: float = 0.0
@@ -96,7 +96,7 @@ class RequestTrace:
             "deadline_ms": self.deadline_ms,
             "ann_pairs_added": self.ann_pairs_added,
             "ann_probe_candidates": self.ann_probe_candidates,
-            "ann_bucket_skew": self.ann_bucket_skew,
+            "ann_skew_fallbacks": self.ann_skew_fallbacks,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_fills": self.cache_fills,

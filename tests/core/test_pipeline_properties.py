@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import FuzzyFDConfig, FuzzyFullDisjunction, RegularFullDisjunction
-from repro.core.value_matching import ColumnValues, ValueMatcher
+from repro.core.value_matching import ColumnValues, MatchConfig, ValueMatcher
 from repro.embeddings import FastTextEmbedder, MistralEmbedder
 from repro.matching.bipartite import BipartiteValueMatcher
 from repro.matching.distance import EmbeddingDistance
@@ -109,7 +109,7 @@ class TestValueMatchingInvariants:
     )
     @settings(max_examples=30, deadline=None)
     def test_match_sets_partition_the_input_values(self, left, right):
-        matcher = ValueMatcher(MistralEmbedder(), threshold=0.7)
+        matcher = ValueMatcher(MistralEmbedder(), MatchConfig(threshold=0.7))
         result = matcher.match_columns(
             [ColumnValues("c1", list(left)), ColumnValues("c2", list(right))]
         )
@@ -123,7 +123,7 @@ class TestValueMatchingInvariants:
     )
     @settings(max_examples=30, deadline=None)
     def test_representative_is_always_a_member(self, left, right):
-        matcher = ValueMatcher(MistralEmbedder(), threshold=0.7)
+        matcher = ValueMatcher(MistralEmbedder(), MatchConfig(threshold=0.7))
         result = matcher.match_columns(
             [ColumnValues("c1", list(left)), ColumnValues("c2", list(right))]
         )

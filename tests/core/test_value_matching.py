@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.representatives import available_policies, select_representative
-from repro.core.value_matching import ColumnValues, ValueMatcher
+from repro.core.value_matching import ColumnValues, MatchConfig, ValueMatcher
 from repro.embeddings import ExactEmbedder, MistralEmbedder
 
 
 @pytest.fixture(scope="module")
 def matcher():
-    return ValueMatcher(MistralEmbedder(), threshold=0.7)
+    return ValueMatcher(MistralEmbedder(), MatchConfig(threshold=0.7))
 
 
 class TestColumnValues:
@@ -170,7 +170,7 @@ class TestMatchColumnsGeneral:
         )
 
     def test_exact_embedder_reduces_to_equality_matching(self):
-        matcher = ValueMatcher(ExactEmbedder(), threshold=0.7)
+        matcher = ValueMatcher(ExactEmbedder(), MatchConfig(threshold=0.7))
         columns = [
             ColumnValues("c1", ["Berlin", "Boston"]),
             ColumnValues("c2", ["Berlin", "barcelona"]),
@@ -209,12 +209,12 @@ class TestMatchColumnsGeneral:
 class TestBlockingRouting:
     def test_invalid_blocking_mode_rejected(self):
         with pytest.raises(ValueError):
-            ValueMatcher(MistralEmbedder(), blocking="maybe")
+            MatchConfig(blocking="maybe")
         with pytest.raises(ValueError):
-            ValueMatcher(MistralEmbedder(), blocking="auto", blocking_cutoff=0)
+            MatchConfig(blocking="auto", blocking_cutoff=0)
 
     def test_blocking_on_routes_through_blocked_matcher(self):
-        matcher = ValueMatcher(MistralEmbedder(), threshold=0.7, blocking="on")
+        matcher = ValueMatcher(MistralEmbedder(), MatchConfig(threshold=0.7, blocking="on"))
         columns = [
             ColumnValues("c1", ["Berlin", "Toronto"]),
             ColumnValues("c2", ["Berlinn", "Toronto"]),
@@ -228,7 +228,8 @@ class TestBlockingRouting:
 
     def test_auto_keeps_small_pairs_exact(self):
         matcher = ValueMatcher(
-            MistralEmbedder(), threshold=0.7, blocking="auto", blocking_cutoff=10_000
+            MistralEmbedder(),
+            MatchConfig(threshold=0.7, blocking="auto", blocking_cutoff=10_000)
         )
         columns = [
             ColumnValues("c1", ["Berlin", "Toronto"]),
@@ -239,7 +240,8 @@ class TestBlockingRouting:
 
     def test_auto_engages_blocking_above_cutoff(self):
         matcher = ValueMatcher(
-            MistralEmbedder(), threshold=0.7, blocking="auto", blocking_cutoff=4
+            MistralEmbedder(),
+            MatchConfig(threshold=0.7, blocking="auto", blocking_cutoff=4)
         )
         columns = [
             ColumnValues("c1", ["Berlin", "Toronto", "Madrid"]),
@@ -261,8 +263,8 @@ class TestBlockingRouting:
             ColumnValues("c1", ["Berlin", "Toronto", "Barcelona"]),
             ColumnValues("c2", ["Berlinn", "Toronto", "barcelona"]),
         ]
-        exhaustive = ValueMatcher(MistralEmbedder(), threshold=0.7)
-        blocked = ValueMatcher(MistralEmbedder(), threshold=0.7, blocking="on")
+        exhaustive = ValueMatcher(MistralEmbedder(), MatchConfig(threshold=0.7))
+        blocked = ValueMatcher(MistralEmbedder(), MatchConfig(threshold=0.7, blocking="on"))
         exhaustive_sets = {
             tuple(match_set.members) for match_set in exhaustive.match_columns(columns).sets
         }

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import FuzzyFDConfig, FuzzyFullDisjunction
-from repro.core.value_matching import ColumnValues, ValueMatcher
+from repro.core.value_matching import ColumnValues, MatchConfig, ValueMatcher
 from repro.embeddings import FastTextEmbedder, FineTunedEmbedder, MistralEmbedder
 from repro.table import Table
 
@@ -76,13 +76,14 @@ class TestFineTunedInPipeline:
             ColumnValues("c1", ["World Health Organization", "Berlin"]),
             ColumnValues("c2", ["WHO", "Boston"]),
         ]
-        plain = ValueMatcher(FastTextEmbedder(), threshold=0.7).match_columns(columns)
+        config = MatchConfig(threshold=0.7)
+        plain = ValueMatcher(FastTextEmbedder(), config).match_columns(columns)
         assert all(len(match_set) == 1 for match_set in plain.sets)
 
         tuned = FineTunedEmbedder(FastTextEmbedder()).fit(
             positive_pairs=[("WHO", "World Health Organization")]
         )
-        fitted = ValueMatcher(tuned, threshold=0.7).match_columns(columns)
+        fitted = ValueMatcher(tuned, config).match_columns(columns)
         who_set = next(
             match_set for match_set in fitted.sets
             if ("c2", "WHO") in match_set.members

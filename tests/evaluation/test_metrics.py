@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import FuzzyFDConfig
-from repro.core.value_matching import ColumnValues, ValueMatcher
+from repro.core.value_matching import ColumnValues, MatchConfig, ValueMatcher
 from repro.datasets import ImdbBenchmark
 from repro.embeddings import MistralEmbedder
 from repro.evaluation import (
@@ -48,7 +48,7 @@ class TestMatchingScores:
         assert scores.recall == 0.0
 
     def test_score_integration_set_accepts_matcher_result(self):
-        matcher = ValueMatcher(MistralEmbedder(), threshold=0.7)
+        matcher = ValueMatcher(MistralEmbedder(), MatchConfig(threshold=0.7))
         columns = [ColumnValues("c1", ["Germany", "Canada"]), ColumnValues("c2", ["DE", "CA"])]
         result = matcher.match_columns(columns)
         gold = [

@@ -11,7 +11,7 @@ import pytest
 
 from repro import integrate, read_csv, write_csv
 from repro.core import FuzzyFDConfig
-from repro.core.value_matching import ValueMatcher
+from repro.core.value_matching import MatchConfig, ValueMatcher
 from repro.datasets import AliteEmBenchmark, AutoJoinBenchmark, ImdbBenchmark
 from repro.em import EntityMatchingPipeline
 from repro.embeddings import FastTextEmbedder, MistralEmbedder
@@ -23,7 +23,7 @@ class TestAutoJoinPipeline:
     def test_mistral_beats_fasttext_on_small_benchmark(self, small_autojoin_sets):
         scores = {}
         for embedder in (FastTextEmbedder(), MistralEmbedder()):
-            matcher = ValueMatcher(embedder, threshold=0.7)
+            matcher = ValueMatcher(embedder, MatchConfig(threshold=0.7))
             per_set = [
                 score_integration_set(matcher.match_columns(s.column_values()), s.gold_sets)
                 for s in small_autojoin_sets
@@ -33,7 +33,7 @@ class TestAutoJoinPipeline:
         assert scores["mistral"].recall >= scores["fasttext"].recall
 
     def test_scores_are_sane(self, small_autojoin_sets):
-        matcher = ValueMatcher(MistralEmbedder(), threshold=0.7)
+        matcher = ValueMatcher(MistralEmbedder(), MatchConfig(threshold=0.7))
         per_set = [
             score_integration_set(matcher.match_columns(s.column_values()), s.gold_sets)
             for s in small_autojoin_sets

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.core.value_matching import ColumnValues, ValueMatcher
+from repro.core.value_matching import ColumnValues, MatchConfig, ValueMatcher
 from repro.embeddings.lexicon import SemanticLexicon
 from repro.embeddings.transformer import SimulatedTransformerEmbedder
 from repro.matching.ann import SemanticBlocker
@@ -233,14 +233,14 @@ class TestValueMatcherRecallProperty:
         left, right, lexicon = planted_synonyms(30)
         embedder = full_coverage_embedder(lexicon)
 
-        surface_only = ValueMatcher(embedder, blocking="on")
+        surface_only = ValueMatcher(embedder, MatchConfig(blocking="on"))
         blind = surface_only.match_columns(
             [ColumnValues("A", left), ColumnValues("B", right)]
         )
         # Zero surface candidates: every value stays a singleton set.
         assert all(len(match_set) == 1 for match_set in blind.sets)
 
-        semantic = ValueMatcher(embedder, blocking="on", semantic_blocking="on")
+        semantic = ValueMatcher(embedder, MatchConfig(blocking="on", semantic_blocking="on"))
         result = semantic.match_columns(
             [ColumnValues("A", left), ColumnValues("B", right)]
         )
@@ -254,7 +254,8 @@ class TestValueMatcherRecallProperty:
         def run():
             embedder = full_coverage_embedder(lexicon)
             matcher = ValueMatcher(
-                embedder, blocking="on", semantic_blocking="on", ann_top_k=3
+                embedder,
+                MatchConfig(blocking="on", semantic_blocking="on", ann_top_k=3)
             )
             result = matcher.match_columns(
                 [ColumnValues("A", left), ColumnValues("B", right)]
@@ -269,7 +270,7 @@ class TestValueMatcherRecallProperty:
     def test_semantic_on_requires_blocking(self):
         embedder = full_coverage_embedder(SemanticLexicon())
         with pytest.raises(ValueError):
-            ValueMatcher(embedder, blocking="off", semantic_blocking="on")
+            MatchConfig(blocking="off", semantic_blocking="on")
         # "auto" is allowed with blocking off: it simply never engages (the
         # exhaustive matcher scores every pair anyway).
-        ValueMatcher(embedder, blocking="off", semantic_blocking="auto")
+        ValueMatcher(embedder, MatchConfig(blocking="off", semantic_blocking="auto"))

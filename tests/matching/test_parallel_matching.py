@@ -150,7 +150,7 @@ class TestFrequentKeyCap:
             ValueBlocker(frequent_key_cap=0)
 
     def test_skipped_keys_surface_in_statistics(self, embedder):
-        from repro.core.value_matching import ColumnValues, ValueMatcher
+        from repro.core.value_matching import ColumnValues, MatchConfig, ValueMatcher
 
         # Both sides share the stop-word token "the" beyond the cap.
         left = [f"the {index:04d}x" for index in range(30)]
@@ -161,7 +161,7 @@ class TestFrequentKeyCap:
         matcher.match(left, right)
         assert matcher.last_statistics.skipped_keys >= 1
 
-        value_matcher = ValueMatcher(embedder, blocking="on", blocking_key_cap=5)
+        value_matcher = ValueMatcher(embedder, MatchConfig(blocking="on", blocking_key_cap=5))
         result = value_matcher.match_columns(
             [ColumnValues("a", left), ColumnValues("b", right)]
         )
@@ -208,10 +208,10 @@ class TestComponentSizeStatistics:
         assert "#" in report
 
     def test_reporting_accepts_matcher_statistics_dict(self, embedder):
-        from repro.core.value_matching import ColumnValues, ValueMatcher
+        from repro.core.value_matching import ColumnValues, MatchConfig, ValueMatcher
         from repro.evaluation import format_component_histogram
 
-        matcher = ValueMatcher(embedder, blocking="on")
+        matcher = ValueMatcher(embedder, MatchConfig(blocking="on"))
         result = matcher.match_columns(
             [
                 ColumnValues("a", ["Berlin", "Toronto"]),

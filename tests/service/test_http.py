@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.service import IntegrationService
+from repro.service import http
 from repro.service.http import (
     BadRequest,
     start_http_server,
@@ -162,6 +163,66 @@ class TestEndpoints:
         assert status == 503
         assert body["status"] == "overloaded"
         assert body["max_pending"] == 0
+
+
+async def _raw_exchange(port: int, blob: bytes) -> int:
+    """Send ``blob`` as-is, read the reply until close; returns the status code."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(blob)
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    return int(raw.split(b" ", 2)[1])
+
+
+class TestHostileClients:
+    """Malformed or stalled clients get an answer and never wedge the server."""
+
+    @staticmethod
+    def _then_healthy(port):
+        return _request(port, "GET", "/healthz")
+
+    def test_stalled_client_times_out_with_408(self, monkeypatch):
+        monkeypatch.setattr(http, "READ_TIMEOUT_SECONDS", 0.2)
+
+        async def scenario(port, service):
+            # Headers promise 100 body bytes; only 5 ever arrive.
+            status = await asyncio.wait_for(
+                _raw_exchange(
+                    port, b"POST /integrate HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"ta"
+                ),
+                timeout=5.0,
+            )
+            return status, await self._then_healthy(port)
+
+        status, (after_status, after_body) = _run(scenario)
+        assert status == 408
+        assert after_status == 200 and after_body["status"] == "healthy"
+
+    def test_negative_content_length_is_400(self):
+        async def scenario(port, service):
+            status = await _raw_exchange(
+                port, b"POST /integrate HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+            )
+            return status, await self._then_healthy(port)
+
+        status, (after_status, _) = _run(scenario)
+        assert status == 400
+        assert after_status == 200
+
+    def test_oversized_header_line_is_400(self):
+        async def scenario(port, service):
+            # Longer than asyncio's default 64 KiB stream limit.
+            big = b"X-Padding: " + b"a" * (70 * 1024) + b"\r\n"
+            status = await _raw_exchange(
+                port, b"GET /healthz HTTP/1.1\r\n" + big + b"\r\n"
+            )
+            return status, await self._then_healthy(port)
+
+        status, (after_status, _) = _run(scenario)
+        assert status == 400
+        assert after_status == 200
 
 
 class TestJsonTables:

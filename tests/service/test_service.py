@@ -16,6 +16,8 @@ import time
 import pytest
 
 from repro.core import FuzzyFDConfig, IntegrationEngine
+from repro.core.engine import FuzzyIntegrationResult
+from repro.core.value_matching import ValueMatchingResult
 from repro.embeddings import MistralEmbedder
 from repro.service import (
     DeadlineExceeded,
@@ -23,6 +25,8 @@ from repro.service import (
     IntegrationService,
     ServiceFailure,
     ServiceOverloaded,
+    StageTracker,
+    build_trace,
 )
 from repro.service.http import table_to_json
 from repro.table import Table
@@ -133,7 +137,7 @@ class TestTrace:
         for key in (
             "ann_pairs_added",
             "ann_probe_candidates",
-            "ann_bucket_skew",
+            "ann_skew_fallbacks",
             "cache_hits",
             "cache_misses",
             "raw_embed_calls",
@@ -178,6 +182,21 @@ class TestTrace:
         assert warm_config.embedder.raw_embeds == 0
         assert warm.trace.cache_store_hits > 0
         assert warm.result.table.rows == cold.result.table.rows
+
+    def test_skew_fallbacks_reach_the_trace_under_their_own_name(self):
+        # The trace field carries blocking_ann_skew_fallbacks (a count), not
+        # the blocker's largest-bucket share that BlockingStatistics calls
+        # ann_bucket_skew.
+        matching = ValueMatchingResult(
+            sets=[], column_order={}, statistics={"blocking_ann_skew_fallbacks": 2.0}
+        )
+        result = FuzzyIntegrationResult(
+            table=None, fd_result=None, alignment=None, value_matching={"city": matching}
+        )
+        trace = build_trace(1, result, StageTracker(time.perf_counter()), 0.0)
+        assert trace.ann_skew_fallbacks == 2
+        assert trace.to_dict()["ann_skew_fallbacks"] == 2
+        assert "ann_bucket_skew" not in trace.to_dict()
 
     def test_latency_quantiles_populate(self, covid_tables):
         async def serve():
