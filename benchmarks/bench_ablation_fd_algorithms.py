@@ -1,9 +1,8 @@
 """Ablation ``abl-fd`` — choice of Full Disjunction substrate.
 
 The paper builds on ALITE's FD implementation.  This ablation compares the
-registered FD algorithms (ALITE-style indexed complementation, the
-component-decomposed incremental variant, and the partition-parallel variant)
-on the IMDB benchmark: all must produce the same result; the interest is in
+registered FD algorithms (ALITE-style indexed complementation and the
+component-decomposed, partition-parallel variant) on the IMDB benchmark: all must produce the same result; the interest is in
 runtime and in the complementation statistics.
 
 Run with ``pytest benchmarks/bench_ablation_fd_algorithms.py --benchmark-only -s``
@@ -19,7 +18,7 @@ from repro.datasets import ImdbBenchmark
 from repro.evaluation.reporting import format_markdown_table
 from repro.fd import get_algorithm
 
-DEFAULT_ALGORITHMS = ("alite", "incremental", "partitioned")
+DEFAULT_ALGORITHMS = ("alite", "partitioned")
 
 
 def run_fd_ablation(

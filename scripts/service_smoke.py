@@ -18,6 +18,12 @@ Then a second server boots with a hard-down chaos embedder
 ``degraded: true`` in its trace, and ``GET /healthz`` must report
 ``degraded`` — an open breaker never becomes an unhandled 500.
 
+A third server boots with a slow chaos embedder
+(``REPRO_CHAOS_EMBED_LATENCY_MS``) and ``--max-concurrency 2``, and two cold
+requests over disjoint values are posted at once: each trace's
+``cache_misses`` must equal that request's own distinct-value count, so
+per-request counters stay exact while requests overlap.
+
 Exits non-zero (with the server log on stderr) on any failure, so the CI
 job fails loudly.  Run locally with ``python scripts/service_smoke.py``.
 """
@@ -27,6 +33,7 @@ from __future__ import annotations
 import json
 import re
 import subprocess
+from concurrent.futures import ThreadPoolExecutor
 import sys
 import tempfile
 import time
@@ -49,6 +56,28 @@ INTEGRATE_BODY = {
         },
     ]
 }
+
+
+
+def city_request(left: list[str], right: list[str]) -> dict:
+    """Two tables whose only shared column is ``City``; no value repeats."""
+    return {
+        "tables": [
+            {"name": "left", "columns": ["City", "Pop"], "rows": [[v, "1"] for v in left]},
+            {"name": "right", "columns": ["City", "Rate"], "rows": [[v, "x"] for v in right]},
+        ]
+    }
+
+
+#: Two cold requests over disjoint values, with different value counts.
+CONCURRENT_BODIES = (
+    city_request(["Amsterdam", "Antwerp", "Athens"], ["Amsterdamm", "Antwerpp", "Athenss"]),
+    city_request(
+        ["Bergen", "Bologna", "Bordeaux", "Bremen"], ["Bergenn", "Bolognna", "Bordeau", "Bremenn"]
+    ),
+)
+#: Distinct values each request embeds (every City value, once).
+CONCURRENT_DISTINCT_VALUES = (6, 8)
 
 TRACE_REQUIRED_KEYS = (
     "stage_seconds",
@@ -198,6 +227,37 @@ def main() -> int:
         )
 
         print("service smoke OK: chaos embedder served degraded, healthz degraded")
+    finally:
+        process.terminate()
+        try:
+            process.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            process.kill()
+
+    # Exact per-request counters: two cold requests overlap on a slow
+    # embedder; neither trace may report the other's cache misses.
+    process = serve(
+        ["--embedder", "chaos", "--max-concurrency", "2"],
+        extra_env={"REPRO_CHAOS_EMBED_LATENCY_MS": "200"},
+    )
+    try:
+        port = wait_for_port(process)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            responses = list(
+                pool.map(lambda body: request(port, "POST", "/integrate", body), CONCURRENT_BODIES)
+            )
+        for index, (response, distinct) in enumerate(
+            zip(responses, CONCURRENT_DISTINCT_VALUES)
+        ):
+            expect(response.get("status") == "ok", f"concurrent request {index} failed")
+            misses = response["trace"]["cache_misses"]
+            expect(
+                misses == distinct,
+                f"concurrent request {index} reported {misses} cache misses, "
+                f"expected its own {distinct}",
+            )
+
+        print("service smoke OK: concurrent cold requests report their own cache misses")
         return 0
     finally:
         process.terminate()

@@ -52,7 +52,8 @@ class FuzzyFDConfig(MatchConfig):
         ``"hungarian"`` or ``"greedy"``).
     fd_algorithm:
         Full Disjunction substrate (``"alite"`` as in the paper, or
-        ``"naive"`` / ``"incremental"`` / ``"partitioned"``).
+        ``"naive"`` / ``"partitioned"`` / ``"streaming"`` /
+        ``"outer_join_sequence"``).
     alignment:
         Alignment strategy used when the caller does not pass an explicit
         alignment: ``"by_name"`` groups equal headers (the Figure 1 setting),

@@ -61,6 +61,7 @@ from repro.schema_matching.strategies import ALIGNMENT_STRATEGIES
 from repro.storage.cache import StoreBackedEmbeddingCache
 from repro.storage.store import ArtifactStore
 from repro.table.table import Table
+from repro.utils.counters import add_counts, counter_scope
 
 #: Knobs :meth:`IntegrationEngine.integrate` accepts as per-request overrides:
 #: exactly the fields of :class:`MatchConfig`, in declaration order.
@@ -75,6 +76,11 @@ _NONE_IS_A_VALUE = frozenset(
 #: Overrides that still steer the Full Disjunction stage (its executor), so
 #: they stay legal when matching is skipped or already ran.
 _FD_OVERRIDES = ("max_workers", "parallel_backend")
+
+
+def _counts(timings: Dict[str, float]) -> Dict[str, float]:
+    """The work counters of a timings dict (every key that is not a duration)."""
+    return {key: value for key, value in timings.items() if not key.endswith("_seconds")}
 
 
 def _count_rewrites(value_matching: Dict[str, ValueMatchingResult]) -> int:
@@ -101,8 +107,9 @@ class FuzzyIntegrationResult:
     def total_seconds(self) -> float:
         """Total wall-clock time of the integration.
 
-        ``timings`` also carries work counters (the ``blocking_*`` keys);
-        only the ``*_seconds`` entries are durations.
+        ``timings`` also carries the request's work counters (see
+        :mod:`repro.utils.counters`); only the ``*_seconds`` entries are
+        durations.
         """
         return sum(value for key, value in self.timings.items() if key.endswith("_seconds"))
 
@@ -362,43 +369,13 @@ class IntegrationEngine:
         # wrapper through its thread-local context; knobs equal to the
         # engine's own stay untouched (an instance-configured wrapper keeps
         # its constructor values).  Breaker state is engine-global by design.
-        with self._resilience_overrides(effective):
+        # The counter scope collects what every column group counted.
+        with self._resilience_overrides(effective), counter_scope() as counters:
             value_matching, rewritten = self._match_and_rewrite(
                 matcher, aligned_tables, alignment
             )
         timings["value_matching_seconds"] = time.perf_counter() - start
-        if effective.blocking != "off":
-            # Aggregate the per-group blocking counters next to the phase
-            # timings so callers see how much pairwise work blocking saved.
-            counter_keys = ["blocking_pairs_scored", "blocking_pairs_avoided"]
-            if effective.semantic_blocking != "off":
-                counter_keys += ["blocking_ann_pairs_added", "blocking_ann_pairs_duplicate"]
-            for key in counter_keys:
-                timings[key] = sum(
-                    result.statistics.get(key, 0.0) for result in value_matching.values()
-                )
-            timings["blocking_largest_component"] = max(
-                (
-                    result.statistics.get("blocking_largest_component", 0.0)
-                    for result in value_matching.values()
-                ),
-                default=0.0,
-            )
-        # Cache, durable-index and resilience observability: the per-group
-        # deltas the matcher recorded, summed into the request's timing dict
-        # (they are counters, not durations — like the blocking_* keys
-        # above).  ``degraded`` is a flag, not a count: any degraded group
-        # marks the whole request degraded.
-        observability: Dict[str, float] = {}
-        for result in value_matching.values():
-            for key, value in result.statistics.items():
-                if key.startswith(("cache_", "ann_index_", "embedder_", "breaker_")):
-                    observability[key] = observability.get(key, 0.0) + value
-                elif key == "degraded_assignments":
-                    observability[key] = observability.get(key, 0.0) + value
-                elif key == "degraded":
-                    observability[key] = max(observability.get(key, 0.0), value)
-        timings.update(observability)
+        timings.update(counters)
         return MatchStage(
             alignment=alignment,
             value_matching=value_matching,
@@ -437,112 +414,102 @@ class IntegrationEngine:
         (:class:`~repro.service.StageTracker`) turns a budget overrun into a
         typed error instead of letting the next stage start.
         """
-        corrupt_before = (
-            self.store.statistics().get("corrupt_segments", 0)
-            if self.store is not None
-            else 0
-        )
-        if isinstance(tables, MatchStage):
-            # Executor knobs still steer the FD stage that is about to run;
-            # everything else configures work that already happened.
-            executor_overrides = {
-                key: overrides.pop(key)
-                for key in _FD_OVERRIDES
-                if key in overrides
-            }
-            rejected = sorted(overrides)
-            if alignment_strategy is not None:
-                rejected.append("alignment_strategy")
-            if alignment is not None:
-                rejected.append("alignment")
-            if not fuzzy:
-                rejected.append("fuzzy=False")
-            if rejected:
-                raise TypeError(
-                    f"override(s) {rejected} cannot apply to a MatchStage — alignment "
-                    "and matching already ran; pass them to align()/match() instead "
-                    "(or integrate the raw tables)"
-                )
-            staged = tables
-            effective = self._effective_config(executor_overrides)
-        else:
-            if isinstance(tables, AlignmentStage):
-                if alignment is not None or alignment_strategy is not None:
-                    rejected = [
-                        name
-                        for name, value in (
-                            ("alignment", alignment),
-                            ("alignment_strategy", alignment_strategy),
-                        )
-                        if value is not None
-                    ]
-                    raise TypeError(
-                        f"argument(s) {rejected} cannot apply to an AlignmentStage — "
-                        "alignment already ran; re-align the raw tables instead"
-                    )
-                aligned = tables
-            else:
-                if not tables:
-                    raise ValueError("integrate() requires at least one table")
+        # Everything this call does — stage hooks included — counts into
+        # one scope: the request's counters.
+        with counter_scope() as counters:
+            if isinstance(tables, MatchStage):
+                # Executor knobs still steer the FD stage that is about to run;
+                # everything else configures work that already happened.
+                executor_overrides = {
+                    key: overrides.pop(key)
+                    for key in _FD_OVERRIDES
+                    if key in overrides
+                }
+                rejected = sorted(overrides)
+                if alignment_strategy is not None:
+                    rejected.append("alignment_strategy")
                 if alignment is not None:
-                    if alignment_strategy is not None:
-                        raise TypeError(
-                            "pass either an explicit alignment or an "
-                            "alignment_strategy, not both"
-                        )
-                    if on_stage is not None:
-                        on_stage("align")
-                    aligned = self.apply_alignment(tables, alignment)
-                else:
-                    if on_stage is not None:
-                        on_stage("align")
-                    aligned = self.align(tables, strategy=alignment_strategy)
-            effective = self._effective_config(overrides)
-            if fuzzy:
-                if on_stage is not None:
-                    on_stage("match")
-                staged = self.match(aligned, _effective=effective, **overrides)
-            else:
-                # Without the matching stage, matching-only overrides would
-                # be silently ignored — reject them loudly.  The executor
-                # knobs stay legal: they still steer the FD stage.
-                ignored = sorted(set(overrides) - set(_FD_OVERRIDES))
-                if ignored:
+                    rejected.append("alignment")
+                if not fuzzy:
+                    rejected.append("fuzzy=False")
+                if rejected:
                     raise TypeError(
-                        f"override(s) {ignored} have no effect with fuzzy=False — "
-                        "the matching stage they configure is skipped"
+                        f"override(s) {rejected} cannot apply to a MatchStage — alignment "
+                        "and matching already ran; pass them to align()/match() instead "
+                        "(or integrate the raw tables)"
                     )
-                staged = MatchStage(
-                    alignment=aligned.alignment,
-                    value_matching={},
-                    tables=list(aligned.tables),
-                    timings=dict(aligned.timings),
-                )
+                staged = tables
+                effective = self._effective_config(executor_overrides)
+                # Its match ran before this call; those counts are this request's.
+                add_counts(counters, _counts(staged.timings))
+            else:
+                if isinstance(tables, AlignmentStage):
+                    if alignment is not None or alignment_strategy is not None:
+                        rejected = [
+                            name
+                            for name, value in (
+                                ("alignment", alignment),
+                                ("alignment_strategy", alignment_strategy),
+                            )
+                            if value is not None
+                        ]
+                        raise TypeError(
+                            f"argument(s) {rejected} cannot apply to an AlignmentStage — "
+                            "alignment already ran; re-align the raw tables instead"
+                        )
+                    aligned = tables
+                else:
+                    if not tables:
+                        raise ValueError("integrate() requires at least one table")
+                    if alignment is not None:
+                        if alignment_strategy is not None:
+                            raise TypeError(
+                                "pass either an explicit alignment or an "
+                                "alignment_strategy, not both"
+                            )
+                        if on_stage is not None:
+                            on_stage("align")
+                        aligned = self.apply_alignment(tables, alignment)
+                    else:
+                        if on_stage is not None:
+                            on_stage("align")
+                        aligned = self.align(tables, strategy=alignment_strategy)
+                effective = self._effective_config(overrides)
+                if fuzzy:
+                    if on_stage is not None:
+                        on_stage("match")
+                    staged = self.match(aligned, _effective=effective, **overrides)
+                else:
+                    # Without the matching stage, matching-only overrides would
+                    # be silently ignored — reject them loudly.  The executor
+                    # knobs stay legal: they still steer the FD stage.
+                    ignored = sorted(set(overrides) - set(_FD_OVERRIDES))
+                    if ignored:
+                        raise TypeError(
+                            f"override(s) {ignored} have no effect with fuzzy=False — "
+                            "the matching stage they configure is skipped"
+                        )
+                    staged = MatchStage(
+                        alignment=aligned.alignment,
+                        value_matching={},
+                        tables=list(aligned.tables),
+                        timings=dict(aligned.timings),
+                    )
 
-        if on_stage is not None:
-            on_stage("integrate")
-        fd = self._resolve_fd(fd_algorithm, effective)
-        timings = dict(staged.timings)
-        start = time.perf_counter()
-        fd_result = fd.integrate(staged.tables)
-        timings["full_disjunction_seconds"] = time.perf_counter() - start
-
-        if self._store_cache is not None and effective.store_mode == "readwrite":
-            # Newly embedded values become durable as soon as the request
-            # that embedded them completes — the next engine starts warm
-            # without anyone remembering to call save().
-            published = self._store_cache.publish()
-            if published:
-                timings["store_published_rows"] = float(published)
-
-        if self.store is not None:
-            corrupt_delta = (
-                self.store.statistics().get("corrupt_segments", 0) - corrupt_before
-            )
-            if corrupt_delta > 0:
-                # Corrupt artifacts this request tripped over (now quarantined
-                # by the store) — surfaced per request so traces can flag it.
-                timings["store_corrupt_segments"] = float(corrupt_delta)
+            if on_stage is not None:
+                on_stage("integrate")
+            fd = self._resolve_fd(fd_algorithm, effective)
+            start = time.perf_counter()
+            fd_result = fd.integrate(staged.tables)
+            fd_seconds = time.perf_counter() - start
+            if self._store_cache is not None and effective.store_mode == "readwrite":
+                # Newly embedded values become durable as soon as the request
+                # that embedded them completes — the next engine starts warm
+                # without anyone remembering to call save().
+                self._store_cache.publish()
+        # The request's counters supersede the match stage's share of them.
+        timings = dict(staged.timings, full_disjunction_seconds=fd_seconds)
+        timings.update(counters)
 
         with self._served_lock:
             self.requests_served += 1

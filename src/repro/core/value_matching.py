@@ -43,6 +43,7 @@ from repro.matching.blocking import (
 from repro.matching.clustering import ValueMatchSet
 from repro.matching.distance import EmbeddingDistance
 from repro.storage.store import STORE_MODES, ArtifactStore
+from repro.utils.counters import counter_scope
 from repro.utils.executor import EXECUTOR_BACKENDS, ExecutorConfig
 
 #: Cell count (``|left| × |right|``) at which ``blocking="auto"`` switches a
@@ -402,49 +403,8 @@ class ValueMatcher:
         if not columns:
             return ValueMatchingResult(sets=[], column_order={})
         start = time.perf_counter()
-        # Cache and durable-index counters are cumulative over the embedder's
-        # (and blocker's) lifetime; snapshotting them here turns the run into
-        # a per-request delta.  Concurrent requests sharing one embedder can
-        # bleed into each other's deltas — the counters are observability,
-        # not accounting, so approximate under concurrency is acceptable.
-        cache_before = self.embedder.cache.stats()
-        resilience_before = self._resilience_snapshot()
-        semantic_blocker = (
-            self._blocked_matcher.semantic_blocker
-            if self._blocked_matcher is not None
-            else None
-        )
-        ann_before = (
-            (
-                semantic_blocker.index_loads,
-                semantic_blocker.index_builds,
-                semantic_blocker.index_saves,
-            )
-            if semantic_blocker is not None
-            else (0, 0, 0)
-        )
         column_order = {column.column_id: index for index, column in enumerate(columns)}
         frequencies = self._global_frequencies(columns)
-        statistics: Dict[str, float] = {
-            "columns": float(len(columns)),
-            "values": float(sum(len(column) for column in columns)),
-        }
-        if self.config.blocking != "off":
-            statistics.update(
-                blocked_assignments=0.0,
-                blocking_components=0.0,
-                blocking_largest_component=0.0,
-                blocking_pairs_scored=0.0,
-                blocking_pairs_avoided=0.0,
-            )
-            if self.config.semantic_blocking != "off":
-                statistics.update(
-                    blocking_ann_pairs_added=0.0,
-                    blocking_ann_pairs_duplicate=0.0,
-                    blocking_ann_skew_fallbacks=0.0,
-                    blocking_ann_probe_candidates=0.0,
-                )
-
         groups = [
             _Group(members=[(columns[0].column_id, value)], representative=value)
             for value in columns[0].values
@@ -453,123 +413,61 @@ class ValueMatcher:
         assignments = 0
         accepted = 0
         policy = self.config.representative_policy
-        for column in columns[1:]:
-            combined_values = [group.representative for group in groups]
-            matcher = self._matcher_for(len(combined_values), len(column.values))
-            pair_degraded = False
-            try:
-                matches = (
-                    matcher.match_exact_first(combined_values, column.values)
-                    if self.config.exact_first
-                    else matcher.match(combined_values, column.values)
-                )
-            except EmbedderUnavailable:
-                # Breaker open.  Under "surface" the pair is re-matched
-                # without embeddings (exact + surface-blocking equality) and
-                # the result is marked degraded; any other mode propagates
-                # the typed error to the engine/service boundary.
-                if self.config.degraded_mode != "surface":
-                    raise
-                matches = self._degraded_fallback().match_degraded(
-                    combined_values, column.values
-                )
-                pair_degraded = True
-                statistics["degraded"] = 1.0
-                statistics["degraded_assignments"] = (
-                    statistics.get("degraded_assignments", 0.0) + 1.0
-                )
-            assignments += 1
-            accepted += len(matches)
-            if (
-                not pair_degraded
-                and isinstance(matcher, BlockedValueMatcher)
-                and matcher.last_statistics
-            ):
-                blocking_stats = matcher.last_statistics
-                statistics["blocked_assignments"] += 1.0
-                statistics["blocking_components"] += float(blocking_stats.components)
-                statistics["blocking_largest_component"] = max(
-                    statistics["blocking_largest_component"],
-                    float(blocking_stats.largest_component),
-                )
-                statistics["blocking_pairs_scored"] += float(blocking_stats.pairs_scored)
-                statistics["blocking_pairs_avoided"] += float(blocking_stats.pairs_avoided)
-                statistics["blocking_skipped_keys"] = statistics.get(
-                    "blocking_skipped_keys", 0.0
-                ) + float(blocking_stats.skipped_keys)
-                if self.config.semantic_blocking != "off":
-                    statistics["blocking_ann_pairs_added"] += float(
-                        blocking_stats.ann_pairs_added
+        # Every layer below counts its own work into this scope: it is the
+        # group's statistics, and on exit it adds into the request's scope.
+        with counter_scope(self._counter_names()) as statistics:
+            for column in columns[1:]:
+                combined_values = [group.representative for group in groups]
+                matcher = self._matcher_for(len(combined_values), len(column.values))
+                try:
+                    matches = (
+                        matcher.match_exact_first(combined_values, column.values)
+                        if self.config.exact_first
+                        else matcher.match(combined_values, column.values)
                     )
-                    statistics["blocking_ann_pairs_duplicate"] += float(
-                        blocking_stats.ann_pairs_duplicate
+                except EmbedderUnavailable:
+                    # Breaker open.  Under "surface" the pair is re-matched
+                    # without embeddings (exact + surface-blocking equality) and
+                    # the result is marked degraded; any other mode propagates
+                    # the typed error to the engine/service boundary.
+                    if self.config.degraded_mode != "surface":
+                        raise
+                    matches = self._degraded_fallback().match_degraded(
+                        combined_values, column.values
                     )
-                    statistics["blocking_ann_skew_fallbacks"] += float(
-                        blocking_stats.ann_skew_fallbacks
+                assignments += 1
+                accepted += len(matches)
+                groups_by_representative: Dict[object, List[_Group]] = {}
+                for group in groups:
+                    groups_by_representative.setdefault(group.representative, []).append(group)
+
+                matched_right = set()
+                for match in matches:
+                    bucket = groups_by_representative.get(match.left)
+                    if not bucket:
+                        continue
+                    group = bucket.pop(0)
+                    group.members.append((column.column_id, match.right))
+                    group.representative = select_representative(
+                        group.members, frequencies, column_order, policy=policy
                     )
-                    statistics["blocking_ann_probe_candidates"] += float(
-                        blocking_stats.ann_probe_candidates
-                    )
-                # Component-size distribution, aggregated over every blocked
-                # assignment; the reporting layer renders these buckets as a
-                # histogram to guide cutoff/batching tuning.
-                for label, count in blocking_stats.component_size_histogram().items():
-                    key = f"blocking_component_size_{label}"
-                    statistics[key] = statistics.get(key, 0.0) + float(count)
+                    matched_right.add(match.right)
 
-            groups_by_representative: Dict[object, List[_Group]] = {}
-            for group in groups:
-                groups_by_representative.setdefault(group.representative, []).append(group)
+                for value in column.values:
+                    if value not in matched_right:
+                        groups.append(
+                            _Group(members=[(column.column_id, value)], representative=value)
+                        )
 
-            matched_right = set()
-            for match in matches:
-                bucket = groups_by_representative.get(match.left)
-                if not bucket:
-                    continue
-                group = bucket.pop(0)
-                group.members.append((column.column_id, match.right))
-                group.representative = select_representative(
-                    group.members, frequencies, column_order, policy=policy
-                )
-                matched_right.add(match.right)
-
-            for value in column.values:
-                if value not in matched_right:
-                    groups.append(_Group(members=[(column.column_id, value)], representative=value))
-
-        elapsed = time.perf_counter() - start
-        statistics["assignments"] = float(assignments)
-        statistics["accepted_matches"] = float(accepted)
-        statistics["match_sets"] = float(len(groups))
-        statistics["elapsed_seconds"] = elapsed
-
-        cache_after = self.embedder.cache.stats()
-        for counter in ("hits", "misses", "fills", "store_hits", "store_misses"):
-            if counter in cache_after:
-                statistics[f"cache_{counter}"] = float(
-                    max(0, cache_after[counter] - cache_before.get(counter, 0))
-                )
-        resilience_after = self._resilience_snapshot()
-        for counter, key in (
-            ("retries", "embedder_retries"),
-            ("breaker_opens", "breaker_opens"),
-            ("breaker_short_circuits", "breaker_short_circuits"),
-        ):
-            if counter in resilience_after:
-                statistics[key] = float(
-                    max(0, resilience_after[counter] - resilience_before.get(counter, 0))
-                )
-        if semantic_blocker is not None:
-            statistics["ann_index_loads"] = float(
-                semantic_blocker.index_loads - ann_before[0]
-            )
-            statistics["ann_index_builds"] = float(
-                semantic_blocker.index_builds - ann_before[1]
-            )
-            statistics["ann_index_saves"] = float(
-                semantic_blocker.index_saves - ann_before[2]
-            )
-
+        # Written after the scope closed: the group's shape, not request work.
+        statistics.update(
+            columns=float(len(columns)),
+            values=float(sum(len(column) for column in columns)),
+            assignments=float(assignments),
+            accepted_matches=float(accepted),
+            match_sets=float(len(groups)),
+            elapsed_seconds=time.perf_counter() - start,
+        )
         sets = [
             ValueMatchSet(members=sorted(group.members, key=lambda key: (str(key[0]), str(key[1]))),
                           representative=group.representative)
@@ -579,10 +477,14 @@ class ValueMatcher:
         return ValueMatchingResult(sets=sets, column_order=column_order, statistics=statistics)
 
     # -- helpers --------------------------------------------------------------------
-    def _resilience_snapshot(self) -> Dict[str, int]:
-        """The embedder's retry/breaker counters, `{}` for a bare embedder."""
-        stats = getattr(self.embedder, "resilience_stats", None)
-        return stats() if callable(stats) else {}
+    def _counter_names(self) -> Tuple[str, ...]:
+        """The counters a group reports even when they stay at zero."""
+        names = self.embedder.cache.COUNTERS + self.embedder.COUNTERS
+        if self._blocked_matcher is not None:
+            names += self._blocked_matcher.COUNTERS
+            if self._blocked_matcher.semantic_blocker is not None:
+                names += self._blocked_matcher.semantic_blocker.COUNTERS
+        return names
 
     def _degraded_fallback(self) -> BlockedValueMatcher:
         """The matcher serving ``match_degraded`` (never calls the embedder)."""

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import abc
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.utils.counters import count
 
 
 def embedding_text(value: object) -> str:
@@ -30,6 +32,8 @@ class ValueEmbedder(abc.ABC):
 
     #: Registry name of the model (e.g. ``"mistral"``); subclasses override.
     name: str = "abstract"
+    #: Request counters this embedder keeps (see :mod:`repro.utils.counters`).
+    COUNTERS: Tuple[str, ...] = ()
 
     def __init__(self, dimension: int = 256, cache: Optional["EmbeddingCache"] = None) -> None:
         if dimension <= 0:
@@ -131,6 +135,9 @@ class EmbeddingCache:
     is a harmless overwrite.
     """
 
+    #: Request counters this cache keeps (see :mod:`repro.utils.counters`).
+    COUNTERS: Tuple[str, ...] = ("cache_hits", "cache_misses", "cache_fills")
+
     def __init__(self, max_entries: Optional[int] = None) -> None:
         self._store: Dict[tuple, np.ndarray] = {}
         self._lock = threading.RLock()
@@ -149,8 +156,10 @@ class EmbeddingCache:
             vector = self._store.get((model, text))
             if vector is None:
                 self.misses += 1
+                count("cache_misses")
                 return None
             self.hits += 1
+            count("cache_hits")
             return vector
 
     def fill_many(self, model: str, texts: Sequence[str], out: np.ndarray) -> List[int]:
@@ -179,6 +188,8 @@ class EmbeddingCache:
                     out[index] = vector
             self.hits += len(texts) - distinct_misses
             self.misses += distinct_misses
+        count("cache_hits", len(texts) - distinct_misses)
+        count("cache_misses", distinct_misses)
         return missing
 
     def put(self, model: str, text: str, vector: np.ndarray) -> None:
@@ -191,6 +202,7 @@ class EmbeddingCache:
         with self._lock:
             if key not in self._store:
                 self.fills += 1
+                count("cache_fills")
                 if (
                     self.max_entries is not None
                     and len(self._store) >= self.max_entries

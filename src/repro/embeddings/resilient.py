@@ -54,6 +54,7 @@ from typing import Callable, Dict, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.embeddings.base import EmbeddingCache, ValueEmbedder
+from repro.utils.counters import count
 
 #: Cap on the exponential backoff, as a multiple of ``retry_backoff_ms``.
 MAX_BACKOFF_MULTIPLIER = 8
@@ -155,6 +156,8 @@ class ResilientEmbedder(DelegatingEmbedder):
     its resolved embedder automatically (never twice — an already-resilient
     embedder passes through).
     """
+
+    COUNTERS = ("embedder_retries", "breaker_opens", "breaker_short_circuits")
 
     def __init__(
         self,
@@ -258,6 +261,7 @@ class ResilientEmbedder(DelegatingEmbedder):
                 if attempt < attempts:
                     with self._lock:
                         self._counters["retries"] += 1
+                    count("embedder_retries")
                     self._sleep(self._backoff_seconds(attempt))
                     continue
                 now_open = self._record_failure(is_probe)
@@ -292,6 +296,7 @@ class ResilientEmbedder(DelegatingEmbedder):
                 reset_ms = float(self._knob("breaker_reset_ms"))
                 if elapsed_ms < reset_ms:
                     self._counters["breaker_short_circuits"] += 1
+                    count("breaker_short_circuits")
                     raise EmbedderUnavailable(
                         f"embedder {self.name!r} unavailable: breaker open for "
                         f"another {reset_ms - elapsed_ms:.0f} ms",
@@ -302,6 +307,7 @@ class ResilientEmbedder(DelegatingEmbedder):
             if self._state == "half_open":
                 if self._probe_in_flight:
                     self._counters["breaker_short_circuits"] += 1
+                    count("breaker_short_circuits")
                     raise EmbedderUnavailable(
                         f"embedder {self.name!r} unavailable: half-open probe "
                         "in flight",
@@ -323,12 +329,14 @@ class ResilientEmbedder(DelegatingEmbedder):
                 self._opened_at = self._clock()
                 self._probe_in_flight = False
                 self._counters["breaker_opens"] += 1
+                count("breaker_opens")
                 return True
             threshold = int(self._knob("breaker_failure_threshold"))
             if self._state == "closed" and self._consecutive_failures >= threshold:
                 self._state = "open"
                 self._opened_at = self._clock()
                 self._counters["breaker_opens"] += 1
+                count("breaker_opens")
                 return True
             return self._state != "closed"
 

@@ -5,7 +5,7 @@ introduced by Galindo-Legaria: it combines the tuples of a set of tables in a
 *maximal* way so that every input tuple is represented and no output tuple is
 subsumed by (i.e. strictly less informative than) another.
 
-This package provides four interchangeable implementations of the same
+This package provides three interchangeable implementations of the same
 semantics (outer union → complementation closure → subsumption removal):
 
 * :class:`~repro.fd.naive.NaiveFullDisjunction` — the definitional fixpoint;
@@ -13,18 +13,15 @@ semantics (outer union → complementation closure → subsumption removal):
 * :class:`~repro.fd.alite.AliteFullDisjunction` — the paper's substrate [18]:
   hash-indexed complementation with duplicate elimination, practical at the
   IMDB-benchmark scale.
-* :class:`~repro.fd.incremental.IncrementalFullDisjunction` — decomposes the
+* :class:`~repro.fd.parallel.PartitionedFullDisjunction` — decomposes the
   input into connected components of the join-value graph and closes each
-  component independently.
-* :class:`~repro.fd.parallel.PartitionedFullDisjunction` — the component
-  decomposition executed by a pool of workers (Paganelli-style
+  component independently, over a pool of workers (Paganelli-style
   parallelisation; falls back to sequential execution for small inputs).
 """
 
 from repro.fd.base import FullDisjunctionAlgorithm, FullDisjunctionResult
 from repro.fd.naive import NaiveFullDisjunction, OuterJoinSequence
 from repro.fd.alite import AliteFullDisjunction
-from repro.fd.incremental import IncrementalFullDisjunction
 from repro.fd.parallel import PartitionedFullDisjunction
 from repro.fd.iterator import StreamingFullDisjunction
 from repro.registry import Registry
@@ -35,7 +32,6 @@ __all__ = [
     "NaiveFullDisjunction",
     "OuterJoinSequence",
     "AliteFullDisjunction",
-    "IncrementalFullDisjunction",
     "PartitionedFullDisjunction",
     "StreamingFullDisjunction",
     "FD_ALGORITHMS",
@@ -51,7 +47,6 @@ FD_ALGORITHMS = Registry(
         "naive": NaiveFullDisjunction,
         "outer_join_sequence": OuterJoinSequence,
         "alite": AliteFullDisjunction,
-        "incremental": IncrementalFullDisjunction,
         "partitioned": PartitionedFullDisjunction,
         "streaming": StreamingFullDisjunction,
     },

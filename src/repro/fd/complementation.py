@@ -252,7 +252,7 @@ def connected_components(
     column.  Complementation can never merge tuples across components (a merge
     requires a shared value, and merged tuples only carry values from their
     sources), so each component can be closed independently — this is the key
-    optimisation of the incremental and partitioned algorithms.
+    optimisation of the partitioned and streaming algorithms.
     """
     from repro.utils.unionfind import UnionFind
 

@@ -6,7 +6,7 @@ integrated tuples (e.g. to preview an integration in a UI) or wants to stream
 them into a downstream operator without materialising the whole result.
 
 :class:`StreamingFullDisjunction` provides that interface on top of the
-component decomposition used by the incremental algorithm: connected
+component decomposition used by the partitioned algorithm: connected
 components of the value-sharing graph are discovered first (cheap), and each
 component is then closed and emitted independently, so the delay between two
 emitted tuples is bounded by the cost of closing a single component rather

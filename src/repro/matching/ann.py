@@ -85,6 +85,7 @@ from repro.storage.fingerprint import (
     ivf_params_fingerprint,
 )
 from repro.storage.store import ArtifactStore
+from repro.utils.counters import count
 
 #: Default number of LSH hash tables.  More tables raise recall (a pair only
 #: needs to collide once) at linearly more probing work.
@@ -359,6 +360,19 @@ class SemanticBlocker:
         state is computed or loaded.
     """
 
+    #: Request counters of the semantic channel (see
+    #: :mod:`repro.utils.counters`); the blocked matcher counts the first two,
+    #: the pairs the channel added to or duplicated in the candidate graph.
+    COUNTERS = (
+        "blocking_ann_pairs_added",
+        "blocking_ann_pairs_duplicate",
+        "blocking_ann_skew_fallbacks",
+        "blocking_ann_probe_candidates",
+        "ann_index_loads",
+        "ann_index_builds",
+        "ann_index_saves",
+    )
+
     def __init__(
         self,
         embedder: ValueEmbedder,
@@ -403,19 +417,11 @@ class SemanticBlocker:
         self.last_used_lsh = False
         #: Index kind of the last call: ``""`` (no call yet), ``"brute"``,
         #: ``"lsh"`` or ``"ivf"`` — ``"ivf"`` either forced or by skew
-        #: fallback; :attr:`skew_fallbacks` distinguishes the two.
+        #: fallback; the ``blocking_ann_skew_fallbacks`` counter tells which.
         self.last_index_kind = ""
         #: Largest LSH bucket share observed on the last LSH-routed call
         #: (``0.0`` when no codes were computed — brute path or forced IVF).
         self.last_bucket_skew = 0.0
-        #: Deduplicated ``(query, candidate)`` similarity evaluations of the
-        #: last call's probe phase, both directions — the probe-cost counter
-        #: surfaced in ``BlockingStatistics``.
-        self.last_probe_candidates = 0
-        #: Cumulative count of LSH→IVF skew fallbacks over this blocker's
-        #: lifetime (one per direction-index whose buckets tripped the
-        #: threshold — the per-call delta lands in ``BlockingStatistics``).
-        self.skew_fallbacks = 0
         #: Durable-index accounting: index state loaded from the store,
         #: computed from scratch, and published.  ``index_builds == 0`` over a
         #: warm run is the "zero ANN rebuilds" guarantee the engine surfaces.
@@ -435,7 +441,6 @@ class SemanticBlocker:
     ) -> List[Tuple[int, int]]:
         """Sorted embedding-neighbour index pairs between the two value lists."""
         self.last_bucket_skew = 0.0
-        self.last_probe_candidates = 0
         if not left_values or not right_values:
             self.last_used_lsh = False
             self.last_index_kind = "brute"
@@ -518,7 +523,7 @@ class SemanticBlocker:
 
         ``ann_index="lsh"`` computes the codes first and measures bucket
         occupancy; a side whose largest bucket exceeds ``skew_threshold``
-        falls back to IVF (counted in :attr:`skew_fallbacks`) because its
+        falls back to IVF (counted as ``blocking_ann_skew_fallbacks``) because its
         hyperplanes are not separating the corpus.  ``ann_index="ivf"``
         skips the codes entirely.
         """
@@ -530,7 +535,7 @@ class SemanticBlocker:
             skew = max(self._bucket_skew(left_codes), self._bucket_skew(right_codes))
             self.last_bucket_skew = skew
             if skew > self.skew_threshold:
-                self.skew_fallbacks += 1
+                count("blocking_ann_skew_fallbacks")
                 kind = "ivf"
             else:
                 self.last_index_kind = "lsh"
@@ -596,6 +601,7 @@ class SemanticBlocker:
         """
         if self.store is None or texts is None:
             self.index_builds += 1
+            count("ann_index_builds")
             return self._codes(vectors, self._hyperplanes(dimension))
         corpus_fp = corpus_fingerprint(texts, ordered=True)
         loaded = self.store.load_ann_index(self._embedder_fp, self._params_fp, corpus_fp)
@@ -607,14 +613,17 @@ class SemanticBlocker:
             ):
                 self._planes.setdefault(dimension, planes)
                 self.index_loads += 1
+                count("ann_index_loads")
                 return codes
         planes = self._hyperplanes(dimension)
         codes = self._codes(vectors, planes)
         self.index_builds += 1
+        count("ann_index_builds")
         if self.store.can_write and self.store.save_ann_index(
             self._embedder_fp, self._params_fp, corpus_fp, planes, codes
         ):
             self.index_saves += 1
+            count("ann_index_saves")
         return codes
 
     def _probe_direction(
@@ -723,6 +732,7 @@ class SemanticBlocker:
         """Load one side's IVF state from the store, or build and publish it."""
         if self.store is None or texts is None:
             self.index_builds += 1
+            count("ann_index_builds")
             return self._build_ivf(vectors)
         corpus_fp = corpus_fingerprint(texts, ordered=True)
         loaded = self.store.load_ivf_index(
@@ -734,13 +744,16 @@ class SemanticBlocker:
                 vectors.shape[0],
             ):
                 self.index_loads += 1
+                count("ann_index_loads")
                 return centroids, assignments
         centroids, assignments = self._build_ivf(vectors)
         self.index_builds += 1
+        count("ann_index_builds")
         if self.store.can_write and self.store.save_ivf_index(
             self._embedder_fp, self._ivf_params_fp, corpus_fp, centroids, assignments
         ):
             self.index_saves += 1
+            count("ann_index_saves")
         return centroids, assignments
 
     def _ivf_probe(
@@ -805,7 +818,7 @@ class SemanticBlocker:
         can emit.
         """
         n_pairs = len(query_ids)
-        self.last_probe_candidates += n_pairs
+        count("blocking_ann_probe_candidates", n_pairs)
         if n_pairs == 0:
             return set()
         top_k = self.top_k

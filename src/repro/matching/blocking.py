@@ -92,6 +92,7 @@ from repro.matching.ann import SemanticBlocker
 from repro.matching.assignment import AssignmentSolver, ScipyAssignment
 from repro.matching.bipartite import ValueMatch, split_exact_matches
 from repro.matching.distance import EmbeddingDistance, cosine_distance_matrix
+from repro.utils.counters import count
 from repro.utils.executor import ExecutorConfig, contiguous_ranges, run_partitioned
 from repro.utils.text import character_ngrams, normalize_value, tokenize
 
@@ -260,20 +261,6 @@ class BlockingStatistics:
     #: duplicate share means the surfaces carry the semantics and the ANN
     #: channel is paying for little.
     ann_pairs_duplicate: int = 0
-    #: Retrieval strategy the semantic channel used: ``"brute"``, ``"lsh"``
-    #: or ``"ivf"`` (``""`` when the channel is off or did not engage).
-    ann_index_kind: str = ""
-    #: Largest LSH bucket share observed while routing the semantic channel
-    #: (0.0 off the LSH route or below the skew measurement size).
-    ann_bucket_skew: float = 0.0
-    #: LSH→IVF fallbacks the semantic channel took for this column pair
-    #: because hyperplane buckets skewed past the threshold — non-zero means
-    #: ``ann_index_kind == "ivf"`` was chosen *for* the data, not by config.
-    ann_skew_fallbacks: int = 0
-    #: Deduplicated ``(query, candidate)`` similarity evaluations of the
-    #: semantic channel's probe phase — the probe-cost counter (compare
-    #: against ``full_matrix_pairs`` to see what the index saved).
-    ann_probe_candidates: int = 0
     #: True when this column pair was matched in degraded mode (embedder
     #: unavailable: exact + surface-blocking equality only, no embeddings,
     #: no ANN) — the recall of these matches is below the healthy path.
@@ -593,6 +580,16 @@ class BlockedValueMatcher:
     candidate (the cheap signal that surface blocking is losing recall).
     """
 
+    #: Request counters every blocked column pair reports (see
+    #: :meth:`_record` and :mod:`repro.utils.counters`).
+    COUNTERS = (
+        "blocked_assignments",
+        "blocking_components",
+        "blocking_largest_component",
+        "blocking_pairs_scored",
+        "blocking_pairs_avoided",
+    )
+
     def __init__(
         self,
         embedder: ValueEmbedder,
@@ -620,10 +617,6 @@ class BlockedValueMatcher:
         self.last_statistics: Optional[BlockingStatistics] = None
         self._last_ann_added = 0
         self._last_ann_duplicate = 0
-        self._last_ann_kind = ""
-        self._last_ann_skew = 0.0
-        self._last_ann_fallbacks = 0
-        self._last_ann_probe = 0
 
     def match(
         self, left_values: Sequence[object], right_values: Sequence[object]
@@ -724,7 +717,7 @@ class BlockedValueMatcher:
                     )
                 )
 
-        self.last_statistics = BlockingStatistics(
+        self._record(BlockingStatistics(
             left_values=len(left_values),
             right_values=len(right_values),
             candidate_pairs=len(candidates),
@@ -735,11 +728,7 @@ class BlockedValueMatcher:
             skipped_keys=self.blocker.last_skipped_keys,
             ann_pairs_added=self._last_ann_added,
             ann_pairs_duplicate=self._last_ann_duplicate,
-            ann_index_kind=self._last_ann_kind,
-            ann_bucket_skew=self._last_ann_skew,
-            ann_skew_fallbacks=self._last_ann_fallbacks,
-            ann_probe_candidates=self._last_ann_probe,
-        )
+        ))
         matches.sort(key=lambda match: (match.distance, str(match.left), str(match.right)))
         return matches
 
@@ -825,7 +814,7 @@ class BlockedValueMatcher:
             cost[left_position[left_index], right_position[right_index]] = self.distance.distance(
                 left_values[left_index], right_values[right_index]
             )
-        self.last_statistics = BlockingStatistics(
+        self._record(BlockingStatistics(
             left_values=len(left_values),
             right_values=len(right_values),
             candidate_pairs=len(candidates),
@@ -836,11 +825,7 @@ class BlockedValueMatcher:
             skipped_keys=self.blocker.last_skipped_keys,
             ann_pairs_added=self._last_ann_added,
             ann_pairs_duplicate=self._last_ann_duplicate,
-            ann_index_kind=self._last_ann_kind,
-            ann_bucket_skew=self._last_ann_skew,
-            ann_skew_fallbacks=self._last_ann_fallbacks,
-            ann_probe_candidates=self._last_ann_probe,
-        )
+        ))
         matches: List[ValueMatch] = []
         for row, column in self.solver.solve(cost):
             pair_distance = float(cost[row, column])
@@ -908,42 +893,52 @@ class BlockedValueMatcher:
                             distance=0.0,
                         )
                     )
-        self.last_statistics = BlockingStatistics(
+        self._record(BlockingStatistics(
             left_values=len(left_values),
             right_values=len(right_values),
             candidate_pairs=candidate_count,
             skipped_keys=self.blocker.last_skipped_keys if left_remaining else 0,
             degraded=True,
-        )
+        ))
         matches.sort(key=lambda match: (match.distance, str(match.left), str(match.right)))
         return matches
 
     # -- helpers --------------------------------------------------------------------
+    def _record(self, statistics: BlockingStatistics) -> None:
+        """Keep ``statistics`` as :attr:`last_statistics` and count it."""
+        self.last_statistics = statistics
+        if statistics.degraded:
+            count("degraded")
+            count("degraded_assignments")
+            return
+        count("blocked_assignments")
+        count("blocking_components", statistics.components)
+        count("blocking_largest_component", statistics.largest_component)
+        count("blocking_pairs_scored", statistics.pairs_scored)
+        count("blocking_pairs_avoided", statistics.pairs_avoided)
+        count("blocking_skipped_keys", statistics.skipped_keys)
+        if self.semantic_blocker is not None:
+            count("blocking_ann_pairs_added", statistics.ann_pairs_added)
+            count("blocking_ann_pairs_duplicate", statistics.ann_pairs_duplicate)
+        # The component-size distribution; the reporting layer renders these
+        # buckets as a histogram to guide cutoff/batching tuning.
+        for label, components in statistics.component_size_histogram().items():
+            count(f"blocking_component_size_{label}", components)
+
     def _candidates_or_none(
         self, left_values: Sequence[object], right_values: Sequence[object]
     ) -> Optional[List[Tuple[int, int]]]:
         """Surface ∪ semantic candidate pairs, or ``None`` when nothing matches."""
         self._last_ann_added = 0
         self._last_ann_duplicate = 0
-        self._last_ann_kind = ""
-        self._last_ann_skew = 0.0
-        self._last_ann_fallbacks = 0
-        self._last_ann_probe = 0
         if not left_values or not right_values:
-            self.last_statistics = BlockingStatistics(len(left_values), len(right_values), 0)
+            self._record(BlockingStatistics(len(left_values), len(right_values), 0))
             return None
         candidates = self.blocker.candidate_pairs(left_values, right_values)
         if self.semantic_blocker is not None and self._semantic_engages(
             candidates, len(left_values), len(right_values)
         ):
-            fallbacks_before = self.semantic_blocker.skew_fallbacks
             semantic_pairs = self.semantic_blocker.candidate_pairs(left_values, right_values)
-            self._last_ann_kind = self.semantic_blocker.last_index_kind
-            self._last_ann_skew = self.semantic_blocker.last_bucket_skew
-            self._last_ann_fallbacks = (
-                self.semantic_blocker.skew_fallbacks - fallbacks_before
-            )
-            self._last_ann_probe = self.semantic_blocker.last_probe_candidates
             if semantic_pairs:
                 surface_set = set(candidates)
                 added = [pair for pair in semantic_pairs if pair not in surface_set]
@@ -954,12 +949,12 @@ class BlockedValueMatcher:
         if not candidates:
             # skipped_keys matters most here: an all-capped key set is
             # indistinguishable from "nothing blocks together" without it.
-            self.last_statistics = BlockingStatistics(
+            self._record(BlockingStatistics(
                 len(left_values),
                 len(right_values),
                 0,
                 skipped_keys=self.blocker.last_skipped_keys,
-            )
+            ))
             return None
         return candidates
 

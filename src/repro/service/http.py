@@ -27,7 +27,11 @@ so a round-trip preserves the missing-value semantics of Figure 1.
 
 Connections are ``Connection: close`` — one request per connection keeps the
 parser honest and is plenty for the smoke-test and benchmark traffic this
-adapter serves; a production fleet would sit it behind a real ingress.
+adapter serves; a production fleet would sit it behind a real ingress.  Open
+connections are capped at the service's own admission bound
+(``max_concurrency + max_pending``) plus :data:`CONNECTION_HEADROOM`; a
+connection over the cap is answered 503 at once and its request is never
+parsed, so idle or stalled sockets cannot pile up server tasks.
 """
 
 from __future__ import annotations
@@ -63,6 +67,13 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: body); a client still sending after that is answered 408 and disconnected,
 #: so a stalled connection cannot hold a server task forever.
 READ_TIMEOUT_SECONDS = 30.0
+
+#: Connections allowed beyond the service's admission bound, so ``/healthz``
+#: and ``/stats`` still answer while every admission slot is taken.
+CONNECTION_HEADROOM = 4
+
+#: Seconds a refused connection is given to finish sending and close.
+REFUSED_LINGER_SECONDS = 1.0
 
 
 class BadRequest(ValueError):
@@ -291,6 +302,11 @@ async def handle_connection(
             pass
 
 
+async def _drop_input(reader: asyncio.StreamReader) -> None:
+    while await reader.read(64 * 1024):
+        pass
+
+
 async def start_http_server(
     service: IntegrationService, host: str = "127.0.0.1", port: int = 0
 ) -> asyncio.AbstractServer:
@@ -301,10 +317,31 @@ async def start_http_server(
     OS-assigned port.
     """
 
+    cap = service.max_concurrency + service.max_pending + CONNECTION_HEADROOM
+    open_connections = 0
+
     async def _handler(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        await handle_connection(service, reader, writer)
+        nonlocal open_connections
+        if open_connections >= cap:
+            # Refused without parsing the request.  Its bytes are still read
+            # and dropped until the client closes: closing over unread input
+            # resets the connection, and the client would lose the reply.
+            message = f"too many open connections (cap {cap})"
+            writer.write(_encode_response(*_error_reply(503, "Service Unavailable", message)))
+            writer.write_eof()
+            try:
+                await asyncio.wait_for(_drop_input(reader), REFUSED_LINGER_SECONDS)
+            except (asyncio.TimeoutError, ConnectionError):
+                pass
+            writer.close()
+            return
+        open_connections += 1
+        try:
+            await handle_connection(service, reader, writer)
+        finally:
+            open_connections -= 1
 
     return await asyncio.start_server(_handler, host=host, port=port)
 

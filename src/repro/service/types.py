@@ -12,9 +12,11 @@ ever reaches a caller.
 Every response carries a :class:`RequestTrace` (``None`` only on
 :class:`ServiceOverloaded`, where no work ran).  The trace is assembled from
 data the pipeline already records — stage wall-clock from the
-``on_stage`` boundaries, ANN/blocking and cache-delta counters from
-:class:`~repro.core.value_matching.ValueMatchingResult.statistics` — so
-tracing adds no instrumentation to the hot path.
+``on_stage`` boundaries, and the request's own work counters (ANN, blocking,
+cache tiers, resilience, store) from ``FuzzyIntegrationResult.timings``,
+which the engine fills from its request-scoped counters
+(:mod:`repro.utils.counters`) — so tracing adds no instrumentation to the
+hot path, and concurrent requests never see each other's counts.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.engine import FuzzyIntegrationResult
 
-#: Trace counter -> the per-group ``ValueMatchingResult.statistics`` key it
-#: aggregates (summed across aligned column groups).
+#: Trace counter -> the request counter (``FuzzyIntegrationResult.timings``
+#: key) it reports: the one place a counter changes name on its way to JSON.
 TRACE_COUNTER_SOURCES: Dict[str, str] = {
     "ann_pairs_added": "blocking_ann_pairs_added",
     "ann_probe_candidates": "blocking_ann_probe_candidates",
@@ -39,6 +41,8 @@ TRACE_COUNTER_SOURCES: Dict[str, str] = {
     "embedder_retries": "embedder_retries",
     "breaker_opens": "breaker_opens",
     "breaker_short_circuits": "breaker_short_circuits",
+    "store_published_rows": "store_published_rows",
+    "store_corrupt_segments": "store_corrupt_segments",
 }
 
 
@@ -279,12 +283,11 @@ def build_trace(
     tracker: StageTracker,
     total_seconds: float,
 ) -> RequestTrace:
-    """Assemble the success trace from the pipeline's own statistics."""
-    counters: Dict[str, float] = {}
-    for trace_key, source_key in TRACE_COUNTER_SOURCES.items():
-        counters[trace_key] = sum(
-            vm.statistics.get(source_key, 0.0) for vm in result.value_matching.values()
-        )
+    """Assemble the success trace from the request's own counters."""
+    counters = {
+        trace_key: result.timings.get(source_key, 0.0)
+        for trace_key, source_key in TRACE_COUNTER_SOURCES.items()
+    }
     return RequestTrace(
         request_id=request_id,
         status="ok",
@@ -292,12 +295,7 @@ def build_trace(
         queue_wait_seconds=tracker.queue_wait_seconds,
         total_seconds=total_seconds,
         deadline_ms=tracker.deadline_ms,
-        store_published_rows=result.timings.get("store_published_rows", 0.0),
-        degraded=any(
-            vm.statistics.get("degraded", 0.0) > 0.0
-            for vm in result.value_matching.values()
-        ),
-        store_corrupt_segments=result.timings.get("store_corrupt_segments", 0.0),
+        degraded=result.timings.get("degraded", 0.0) > 0.0,
         **counters,
     )
 

@@ -33,6 +33,7 @@ import numpy as np
 from repro.embeddings.base import EmbeddingCache
 from repro.storage.fingerprint import corpus_fingerprint, embedder_fingerprint
 from repro.storage.store import ArtifactStore
+from repro.utils.counters import count
 
 
 class StoreBackedEmbeddingCache(EmbeddingCache):
@@ -52,6 +53,8 @@ class StoreBackedEmbeddingCache(EmbeddingCache):
         entry is harmless: the next lookup re-promotes it from the cold
         tier instead of re-embedding.
     """
+
+    COUNTERS = EmbeddingCache.COUNTERS + ("cache_store_hits", "cache_store_misses")
 
     def __init__(
         self,
@@ -139,6 +142,7 @@ class StoreBackedEmbeddingCache(EmbeddingCache):
             self._persisted.update(keys)
             if published:
                 self.published_rows += len(keys)
+                count("store_published_rows", len(keys))
         # Attach the new segment (ours or, after a lost race, the identical
         # winner's) as a cold tier right away: a bounded hot tier may evict
         # these entries, and they must stay servable without a raw embed.
@@ -157,20 +161,25 @@ class StoreBackedEmbeddingCache(EmbeddingCache):
             vector = self._store.get((model, text))
             if vector is not None:
                 self.hits += 1
+                count("cache_hits")
                 return vector
             location = self._cold.get(text) if model == self.model_name else None
             if location is None:
                 self.misses += 1
+                count("cache_misses")
                 if model == self.model_name:
                     self.store_misses += 1
+                    count("cache_store_misses")
                 return None
             vector = self._promote(model, text, location)
             self.store_hits += 1
+            count("cache_store_hits")
             return vector
 
     def fill_many(self, model: str, texts: Sequence[str], out: np.ndarray) -> List[int]:
         missing: List[int] = []
         batch_missing: Set[str] = set()
+        store_hits = 0
         with self._lock:
             store = self._store
             cold = self._cold if model == self.model_name else {}
@@ -178,24 +187,28 @@ class StoreBackedEmbeddingCache(EmbeddingCache):
                 vector = store.get((model, text))
                 if vector is not None:
                     out[index] = vector
-                    self.hits += 1
                     continue
                 location = cold.get(text)
                 if location is not None:
                     out[index] = self._promote(model, text, location)
-                    self.store_hits += 1
+                    store_hits += 1
                     continue
                 missing.append(index)
                 # Same accounting as the base class: repeated occurrences of
                 # one uncached text count as one miss plus hits (the caller
                 # embeds the text once and reuses the vector).
-                if text in batch_missing:
-                    self.hits += 1
-                else:
-                    batch_missing.add(text)
-                    self.misses += 1
-                    if model == self.model_name:
-                        self.store_misses += 1
+                batch_missing.add(text)
+            misses = len(batch_missing)
+            store_misses = misses if model == self.model_name else 0
+            hits = len(texts) - store_hits - misses
+            self.hits += hits
+            self.store_hits += store_hits
+            self.misses += misses
+            self.store_misses += store_misses
+        count("cache_hits", hits)
+        count("cache_store_hits", store_hits)
+        count("cache_misses", misses)
+        count("cache_store_misses", store_misses)
         return missing
 
     def clear(self) -> None:

@@ -51,6 +51,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.utils.counters import count
+
 #: On-disk format version; bumped on incompatible layout changes.  A reader
 #: treats any other version as a miss, so old stores degrade to cold starts
 #: instead of undefined behaviour.
@@ -400,6 +402,7 @@ class ArtifactStore:
         read).  Rename races lose silently: the artifact is gone either way.
         """
         self._counters.bump("corrupt_segments")
+        count("store_corrupt_segments")
         if not self.can_write or not directory.is_dir():
             return
         try:

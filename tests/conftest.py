@@ -7,6 +7,8 @@ test modules stay focused on behaviour.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.embeddings import ExactEmbedder, FastTextEmbedder, MistralEmbedder
@@ -80,3 +82,70 @@ def small_em_set():
     from repro.datasets import AliteEmBenchmark
 
     return AliteEmBenchmark(n_sets=1, entities_per_set=25, seed=5).generate()[0]
+
+
+class _RaceEmbedder(MistralEmbedder):
+    """Mistral simulator that interleaves a warm and a cold request (see below)."""
+
+    def __init__(self, cold_texts) -> None:
+        super().__init__()
+        self.cold_texts = frozenset(cold_texts)
+        self.armed = False
+        self.warm_matching = threading.Event()
+        self.cold_counted = threading.Event()
+        #: Set when a wait gave up: the two requests did not overlap.
+        self.timed_out = False
+
+    def embed_many(self, values):
+        if self.armed:
+            if self.cold_texts.isdisjoint(str(value) for value in values):
+                # The warm request is inside its match stage; hold it there
+                # until the cold request has counted its cache misses.
+                self.warm_matching.set()
+                self.timed_out |= not self.cold_counted.wait(timeout=10)
+            else:
+                self.timed_out |= not self.warm_matching.wait(timeout=10)
+        return super().embed_many(values)
+
+    def _embed_text(self, text):
+        if text in self.cold_texts:
+            # A raw embed comes after the cache lookup that counted the miss.
+            self.cold_counted.set()
+        return super()._embed_text(text)
+
+
+class RequestRace:
+    """A warm and a cold request whose matching stages overlap on purpose.
+
+    Serve ``warm`` once, call :meth:`arm`, then serve ``warm`` and ``cold``
+    concurrently: the cold request looks up nothing until the warm one is
+    inside its match stage, and the warm one stays there until the cold
+    request's cache misses are counted.  A per-request counter read from
+    shared lifetime counters reports the cold misses for the warm request
+    too; an exact one reports ``cache_misses == 0`` for ``warm`` and
+    :attr:`cold_values` for ``cold``.
+    """
+
+    def __init__(self) -> None:
+        self.warm = [
+            Table("W1", ["City"], [("Berlinn",), ("Toronto",), ("Barcelona",)]),
+            Table("W2", ["City"], [("Berlin",), ("Torronto",), ("barcelona",)]),
+        ]
+        left = [f"Town {index}" for index in range(30)]
+        right = [f"Town {index}x" for index in range(30)]
+        self.cold = [
+            Table("C1", ["City"], [(value,) for value in left]),
+            Table("C2", ["City"], [(value,) for value in right]),
+        ]
+        #: Distinct values of ``cold`` (none is shared, so each is embedded).
+        self.cold_values = len(left) + len(right)
+        self.embedder = _RaceEmbedder(left + right)
+
+    def arm(self) -> None:
+        self.embedder.armed = True
+
+
+@pytest.fixture()
+def request_race():
+    """A fresh :class:`RequestRace` (its embedder keeps per-test state)."""
+    return RequestRace()

@@ -31,6 +31,12 @@ class TestEagerValidation:
             FuzzyFDConfig(fd_algorithm="quantum")
         assert "alite" in str(excinfo.value)
 
+    def test_retired_incremental_fd_algorithm_lists_valid_names(self):
+        # "incremental" was the partitioned algorithm on the serial backend.
+        with pytest.raises(ValueError) as excinfo:
+            FuzzyFDConfig(fd_algorithm="incremental")
+        assert "partitioned" in str(excinfo.value)
+
     def test_unknown_representative_policy_lists_valid_names(self):
         with pytest.raises(ValueError) as excinfo:
             FuzzyFDConfig(representative_policy="freq")
@@ -132,7 +138,7 @@ class TestSerialisation:
             embedder="fasttext",
             threshold=0.65,
             assignment_solver="greedy",
-            fd_algorithm="incremental",
+            fd_algorithm="partitioned",
             representative_policy="longest",
             exact_first=False,
             blocking="auto",

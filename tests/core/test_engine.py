@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -111,8 +113,8 @@ class TestPerRequestOverrides:
 
     def test_fd_algorithm_override(self, covid_tables):
         engine = IntegrationEngine()
-        result = engine.integrate(covid_tables, fd_algorithm="incremental")
-        assert result.fd_result.algorithm == "incremental"
+        result = engine.integrate(covid_tables, fd_algorithm="partitioned")
+        assert result.fd_result.algorithm == "partitioned"
         assert engine.fd_algorithm.name == "alite"
 
     def test_invalid_override_name_fails_fast(self, covid_tables):
@@ -390,3 +392,73 @@ class TestWarmEmbeddingCache:
             warm = engine.integrate(covid_tables, threshold=theta)
             fresh = integrate(covid_tables, config=FuzzyFDConfig(threshold=theta))
             assert warm.table.same_rows(fresh.table)
+
+
+def _counters(counters):
+    """The work counters of a timings/statistics dict (durations dropped)."""
+    return {key: value for key, value in counters.items() if not key.endswith("_seconds")}
+
+
+class TestRequestCounters:
+    def test_concurrent_requests_count_only_their_own_work(self, request_race):
+        engine = IntegrationEngine(FuzzyFDConfig(embedder=request_race.embedder))
+        engine.integrate(request_race.warm)
+        request_race.arm()
+        warm, cold = engine.integrate_many(
+            [request_race.warm, request_race.cold], max_workers=2
+        )
+        assert not request_race.embedder.timed_out
+        assert warm.timings["cache_misses"] == 0
+        assert warm.value_matching["City"].statistics["cache_misses"] == 0
+        assert cold.timings["cache_misses"] == request_race.cold_values
+        assert cold.value_matching["City"].statistics["cache_misses"] == request_race.cold_values
+
+    def test_match_stage_counts_carry_into_integrate(self, covid_tables):
+        engine = IntegrationEngine()
+        matched = engine.match(engine.align(covid_tables))
+        assert matched.timings["cache_misses"] > 0
+        result = engine.integrate(matched)
+        assert _counters(result.timings) == _counters(matched.timings)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_counters_identical_across_backends(self, backend):
+        # Worker tasks never count (they run outside the request's scope), so
+        # one request reports the same numbers on every backend.
+        rng = random.Random(3)
+
+        def word():
+            return "".join(rng.choice("bcdfghjklmnpqrstvwxz") for _ in range(6))
+
+        # Twelve 2×2 components: two values per group share a leading word.
+        left, right = [], []
+        for _ in range(12):
+            group = word()
+            for _ in range(2):
+                value = f"{group} {word()}"
+                left.append(value)
+                right.append(value + "e")
+        tables = [
+            Table("L", ["Item"], [(value,) for value in left]),
+            Table("R", ["Item"], [(value,) for value in right]),
+        ]
+
+        def request_counters(parallel_backend):
+            config = FuzzyFDConfig(
+                blocking="on",
+                semantic_blocking="on",
+                fd_algorithm="partitioned",
+                max_workers=2,
+                parallel_backend=parallel_backend,
+            )
+            result = IntegrationEngine(config).integrate(tables)
+            return (
+                _counters(result.timings),
+                _counters(result.value_matching["Item"].statistics),
+            )
+
+        serial = request_counters("serial")
+        # Enough multi-value components for the pool to take them.
+        assert serial[0]["blocking_components"] == 12
+        assert serial[0]["blocking_largest_component"] == 4
+        assert serial[0]["cache_misses"] == len(left) + len(right)
+        assert request_counters(backend) == serial

@@ -131,8 +131,8 @@ class TestFuzzyFullDisjunction:
         result = FuzzyFullDisjunction(config).integrate(covid_tables)
         assert result.table.num_rows == 5
 
-    def test_incremental_fd_algorithm_gives_same_figure1_result(self, covid_tables):
-        config = FuzzyFDConfig(fd_algorithm="incremental")
+    def test_partitioned_fd_algorithm_gives_same_figure1_result(self, covid_tables):
+        config = FuzzyFDConfig(fd_algorithm="partitioned")
         result = FuzzyFullDisjunction(config).integrate(covid_tables)
         assert result.table.num_rows == 5
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fd import (
     AliteFullDisjunction,
-    IncrementalFullDisjunction,
     NaiveFullDisjunction,
     OuterJoinSequence,
     PartitionedFullDisjunction,
@@ -24,10 +23,15 @@ from repro.fd import (
 from repro.table import NULL, Table, subsumes
 from repro.table.operations import outer_union
 
+def serial_partitioned():
+    """The component decomposition closed in a plain loop (no worker pool)."""
+    return PartitionedFullDisjunction(backend="serial")
+
+
 ALL_ALGORITHMS = [
     NaiveFullDisjunction,
     AliteFullDisjunction,
-    IncrementalFullDisjunction,
+    serial_partitioned,
     PartitionedFullDisjunction,
 ]
 
@@ -42,7 +46,7 @@ def simple_tables():
 
 class TestRegistry:
     def test_all_registered(self):
-        assert set(available_algorithms()) >= {"naive", "alite", "incremental", "partitioned"}
+        assert set(available_algorithms()) >= {"naive", "alite", "partitioned"}
 
     def test_get_algorithm_by_name(self):
         assert get_algorithm("alite").name == "alite"
@@ -152,7 +156,7 @@ class TestFullDisjunctionProperties:
         }
         assert covered == expected
 
-    @pytest.mark.parametrize("algorithm_cls", [AliteFullDisjunction, IncrementalFullDisjunction])
+    @pytest.mark.parametrize("algorithm_cls", [AliteFullDisjunction, serial_partitioned])
     def test_order_independence(self, algorithm_cls, simple_tables):
         forwards = algorithm_cls().integrate(simple_tables).table
         backwards = algorithm_cls().integrate(list(reversed(simple_tables))).table
@@ -167,7 +171,7 @@ class TestAlgorithmsAgree:
         reference = NaiveFullDisjunction().integrate(simple_tables).table
         columns = list(reference.columns)
         expected = self._row_set(reference, columns)
-        for algorithm_cls in (AliteFullDisjunction, IncrementalFullDisjunction, PartitionedFullDisjunction):
+        for algorithm_cls in (AliteFullDisjunction, serial_partitioned, PartitionedFullDisjunction):
             actual = algorithm_cls().integrate(simple_tables).table
             assert self._row_set(actual, columns) == expected
 
@@ -206,10 +210,10 @@ class TestAlgorithmsAgree:
         ]
         reference = NaiveFullDisjunction().integrate(tables).table
         alite = AliteFullDisjunction().integrate(tables).table
-        incremental = IncrementalFullDisjunction().integrate(tables).table
+        partitioned = serial_partitioned().integrate(tables).table
         columns = list(reference.columns)
         assert alite.project(columns).rows_as_set() == reference.rows_as_set()
-        assert incremental.project(columns).rows_as_set() == reference.rows_as_set()
+        assert partitioned.project(columns).rows_as_set() == reference.rows_as_set()
 
 
 class TestPaperFigure1:

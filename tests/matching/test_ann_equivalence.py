@@ -28,6 +28,7 @@ from repro.matching.ann import (
 )
 from repro.embeddings.transformer import SimulatedTransformerEmbedder
 from repro.storage.store import ArtifactStore
+from repro.utils.counters import counter_scope
 
 
 def _unit(vectors: np.ndarray) -> np.ndarray:
@@ -157,10 +158,11 @@ class TestProbeEquivalence:
         index = random_vectors(50, 16, seed=2)
         blocker = SemanticBlocker(_embedder(), n_bits=4, seed=1)
         planes = blocker._hyperplanes(16)
-        blocker._probe_direction(
-            queries, blocker._codes(queries, planes), index, blocker._codes(index, planes)
-        )
-        assert blocker.last_probe_candidates > 0
+        with counter_scope() as counts:
+            blocker._probe_direction(
+                queries, blocker._codes(queries, planes), index, blocker._codes(index, planes)
+            )
+        assert counts["blocking_ann_probe_candidates"] > 0
 
 
 class TestBruteForceEquivalence:
@@ -242,27 +244,30 @@ class TestIvfIndex:
         values = ["the same repeated phrase"] * 200
         others = [f"distinct entry {index}" for index in range(200)]
         blocker = self._blocker(ann_index="lsh", top_k=2)
-        blocker.candidate_pairs(values, others)
+        with counter_scope() as counts:
+            blocker.candidate_pairs(values, others)
         assert blocker.last_bucket_skew > blocker.skew_threshold
         assert blocker.last_index_kind == "ivf"
-        assert blocker.skew_fallbacks == 1
+        assert counts["blocking_ann_skew_fallbacks"] == 1
 
     def test_uniform_vocabulary_stays_on_lsh(self):
         values = [f"left item {index}" for index in range(100)]
         others = [f"right item {index}" for index in range(100)]
         blocker = self._blocker(ann_index="lsh")
-        blocker.candidate_pairs(values, others)
+        with counter_scope() as counts:
+            blocker.candidate_pairs(values, others)
         assert blocker.last_index_kind in ("lsh", "ivf")
         if blocker.last_index_kind == "lsh":
-            assert blocker.skew_fallbacks == 0
+            assert "blocking_ann_skew_fallbacks" not in counts
 
     def test_skew_threshold_one_disables_fallback(self):
         values = ["the same repeated phrase"] * 200
         others = [f"distinct entry {index}" for index in range(200)]
         blocker = self._blocker(ann_index="lsh", skew_threshold=1.0)
-        blocker.candidate_pairs(values, others)
+        with counter_scope() as counts:
+            blocker.candidate_pairs(values, others)
         assert blocker.last_index_kind == "lsh"
-        assert blocker.skew_fallbacks == 0
+        assert "blocking_ann_skew_fallbacks" not in counts
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):

@@ -224,6 +224,41 @@ class TestHostileClients:
         assert status == 400
         assert after_status == 200
 
+    def test_connections_over_the_cap_get_an_immediate_503(self):
+        # max_concurrency + max_pending + headroom
+        cap = 1 + 0 + http.CONNECTION_HEADROOM
+
+        async def main():
+            async with IntegrationService("fast", max_concurrency=1, max_pending=0) as service:
+                server = await start_http_server(service, port=0)
+                port = server.sockets[0].getsockname()[1]
+                try:
+                    # Connected, never sending a byte: each holds a slot.
+                    stalled = [
+                        await asyncio.open_connection("127.0.0.1", port) for _ in range(cap)
+                    ]
+                    # A full request is sent first: it must be refused, not
+                    # served, and the refusal must not be lost to a reset.
+                    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                    writer.write(b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+                    raw = await asyncio.wait_for(reader.read(), timeout=5.0)
+                    writer.close()
+                    for _, stalled_writer in stalled:
+                        stalled_writer.close()
+                        await stalled_writer.wait_closed()
+                    await asyncio.sleep(0.2)  # the server notices the closed sockets
+                    return raw, await self._then_healthy(port)
+                finally:
+                    server.close()
+                    await server.wait_closed()
+
+        raw, (after_status, after_body) = asyncio.run(main())
+        header_blob, _, body_blob = raw.partition(b"\r\n\r\n")
+        assert int(header_blob.split(b" ", 2)[1]) == 503
+        body = json.loads(body_blob.decode())
+        assert body["status"] == "error" and f"cap {cap}" in body["error"]
+        assert after_status == 200 and after_body["status"] == "healthy"
+
 
 class TestJsonTables:
     def test_nulls_serialise_as_none(self):

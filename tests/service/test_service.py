@@ -17,7 +17,6 @@ import pytest
 
 from repro.core import FuzzyFDConfig, IntegrationEngine
 from repro.core.engine import FuzzyIntegrationResult
-from repro.core.value_matching import ValueMatchingResult
 from repro.embeddings import MistralEmbedder
 from repro.service import (
     DeadlineExceeded,
@@ -183,15 +182,33 @@ class TestTrace:
         assert warm.trace.cache_store_hits > 0
         assert warm.result.table.rows == cold.result.table.rows
 
+    def test_concurrent_requests_trace_only_their_own_work(self, request_race):
+        async def serve():
+            config = FuzzyFDConfig(embedder=request_race.embedder, service_max_concurrency=2)
+            async with IntegrationService(config) as service:
+                await service.integrate(request_race.warm)
+                request_race.arm()
+                return await asyncio.gather(
+                    service.integrate(request_race.warm),
+                    service.integrate(request_race.cold),
+                )
+
+        warm, cold = asyncio.run(serve())
+        assert not request_race.embedder.timed_out
+        assert warm.status == cold.status == "ok"
+        assert warm.trace.raw_embed_calls == 0
+        assert warm.trace.cache_misses == 0
+        assert cold.trace.cache_misses == request_race.cold_values
+        assert cold.trace.raw_embed_calls == request_race.cold_values
+
     def test_skew_fallbacks_reach_the_trace_under_their_own_name(self):
-        # The trace field carries blocking_ann_skew_fallbacks (a count), not
-        # the blocker's largest-bucket share that BlockingStatistics calls
-        # ann_bucket_skew.
-        matching = ValueMatchingResult(
-            sets=[], column_order={}, statistics={"blocking_ann_skew_fallbacks": 2.0}
-        )
+        # The trace field carries the blocking_ann_skew_fallbacks request
+        # counter (a count), not the blocker's largest-bucket share.
         result = FuzzyIntegrationResult(
-            table=None, fd_result=None, alignment=None, value_matching={"city": matching}
+            table=None,
+            fd_result=None,
+            alignment=None,
+            timings={"blocking_ann_skew_fallbacks": 2.0},
         )
         trace = build_trace(1, result, StageTracker(time.perf_counter()), 0.0)
         assert trace.ann_skew_fallbacks == 2
