@@ -217,6 +217,13 @@ def _process_pool(workers: int):
     deadlock children on locks held by unrelated threads.  Both safe methods
     require ``fn`` to be importable in a fresh interpreter — which
     :func:`run_partitioned` demands anyway.
+
+    All ``workers`` processes are started here, before the first submission.
+    Under these start methods ``ProcessPoolExecutor`` otherwise spawns
+    workers lazily inside ``submit()``, and on CPython 3.11 a worker spawned
+    while a dying worker's pool is being torn down is never sent a stop
+    sentinel or a signal: the pool's manager thread waits on it forever, and
+    so does interpreter exit.
     """
     from concurrent.futures import ProcessPoolExecutor
     import multiprocessing
@@ -229,6 +236,9 @@ def _process_pool(workers: int):
             except ValueError:  # pragma: no cover - platform without forkserver
                 context = multiprocessing.get_context("spawn")
             pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+            launch = getattr(pool, "_launch_processes", None)
+            if launch is not None:  # pragma: no branch - present on 3.11+
+                launch()
             _PROCESS_POOLS[workers] = pool
         return pool
 
@@ -251,7 +261,15 @@ def _discard_process_pool(workers: int, pool: object) -> None:
     with _PROCESS_POOL_LOCK:
         if _PROCESS_POOLS.get(workers) is pool:
             del _PROCESS_POOLS[workers]
+    # shutdown() drops the pool's process table, so read it first.
+    processes = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
+    # The broken pool's manager thread joins every worker it knew of, and
+    # interpreter exit joins that thread: a worker left alive (one the
+    # teardown never signalled) would block both forever.
+    for process in processes:
+        if process.is_alive():
+            process.kill()
 
 
 #: Worker-death recovery counters (cumulative, process-wide).

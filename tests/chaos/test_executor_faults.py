@@ -49,6 +49,20 @@ class TestWorkerDeath:
         assert results == EXPECTED
         assert executor_statistics() == before
 
+    def test_broken_pool_leaves_no_worker_behind(self, tmp_path):
+        # Interpreter exit joins a broken pool's manager thread, which joins
+        # every worker of that pool: a worker left alive would hang the exit.
+        pool = executor_module._process_pool(PROCESS_CONFIG.max_workers)
+        workers = list(pool._processes.values())
+        # Started with the pool, so no submission ever spawns one mid-teardown.
+        assert len(workers) == PROCESS_CONFIG.max_workers
+        marker = tmp_path / "crash-marker"
+        run_partitioned(ITEMS, partial(crash_once, marker=str(marker)), PROCESS_CONFIG)
+        assert executor_module._process_pool(PROCESS_CONFIG.max_workers) is not pool
+        for worker in workers:
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+
 
 class _DeadPool:
     """A pool whose submissions always fail — a pool broken beyond rebuild."""
